@@ -204,117 +204,3 @@ def test_bench_rule_count_scaling(benchmark):
         f"expected a clear indexed win at {counts[-1]} rules, got {last_speedup:.0f}x"
     )
 
-
-def test_bench_incremental_install_latency(benchmark):
-    """Rule-install latency: journal-patched snapshots vs full recompiles.
-
-    Before the incremental compile, every mutation paid a from-scratch
-    ``RuleMatchIndex`` build on the next classification — O(rules) Python
-    work per install.  The delta path splices one signature group, so the
-    cost of absorbing a single install must stay roughly flat while the
-    full compile grows with the rule count.  Asserts the >= 10x win at
-    12 000 rules and records the 1k/12k/30k trajectory in
-    ``BENCH_ruleindex.json`` (merged into the classification record).
-    """
-    import json
-    import os
-    from pathlib import Path
-
-    from repro.bgp import Prefix
-    from repro.ixp import FilterAction, FlowMatch, QosRule, RuleMatchIndex
-    from repro.traffic.packet import IpProtocol
-
-    counts = (1_000, 12_000, 30_000)
-    installs = 16
-    points = []
-    for rule_count in counts:
-        policy = build_policy(rule_count, "indexed")
-        policy.compiled_index()  # warm snapshot: installs below patch it
-        fresh = [
-            QosRule(
-                match=FlowMatch(
-                    dst_prefix=Prefix.parse(f"172.16.{i // 256}.{i % 256}/32"),
-                    protocol=IpProtocol.UDP,
-                    src_port=123,
-                ),
-                action=FilterAction.DROP,
-                rule_id=f"hot-{i}",
-            )
-            for i in range(installs)
-        ]
-        start = time.perf_counter()
-        for rule in fresh:
-            policy.install(rule)
-            policy.compiled_index()
-        incremental_seconds = (time.perf_counter() - start) / installs
-
-        # What each of those installs used to cost: a from-scratch
-        # compile of the now-current rule list.
-        rules = policy.sorted_rules()
-        full_seconds = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            RuleMatchIndex(rules)
-            full_seconds = min(full_seconds, time.perf_counter() - start)
-
-        points.append((rule_count, incremental_seconds, full_seconds))
-
-    # The patched snapshot is the compile, structurally (spot-check at
-    # the smallest size; the fuzz suite pins it exhaustively).
-    check = build_policy(counts[0], "indexed")
-    check.compiled_index()
-    check.install(fresh[0])
-    assert (
-        check.compiled_index().structure()
-        == RuleMatchIndex(check.sorted_rules()).structure()
-    )
-
-    def hot_install():
-        policy.install(
-            QosRule(
-                match=FlowMatch(
-                    dst_prefix=Prefix.parse("172.31.0.1/32"),
-                    protocol=IpProtocol.UDP,
-                    src_port=123,
-                ),
-                action=FilterAction.DROP,
-                rule_id="hot-bench",
-            )
-        )
-        policy.compiled_index()
-
-    benchmark.pedantic(hot_install, rounds=1)
-
-    rows = [("rules", "incremental [ms]", "full compile [ms]", "speedup")]
-    trajectory = []
-    for rule_count, incremental_seconds, full_seconds in points:
-        speedup = full_seconds / incremental_seconds
-        rows.append(
-            (
-                str(rule_count),
-                f"{incremental_seconds * 1e3:.3f}",
-                f"{full_seconds * 1e3:.1f}",
-                f"{speedup:.0f}x",
-            )
-        )
-        trajectory.append(
-            {
-                "rule_count": rule_count,
-                "incremental_install_seconds": incremental_seconds,
-                "full_compile_seconds": full_seconds,
-                "speedup": speedup,
-            }
-        )
-    print_table("Install latency: incremental snapshot patch vs full compile", rows)
-
-    # Merge into the classification record rather than clobbering it.
-    path = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_ruleindex.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["install_latency"] = trajectory
-    write_bench_json("ruleindex", payload)
-
-    at_12k = next(point for point in trajectory if point["rule_count"] == 12_000)
-    assert at_12k["speedup"] >= 10.0, (
-        f"expected >= 10x incremental install win at 12k rules, "
-        f"got {at_12k['speedup']:.1f}x"
-    )

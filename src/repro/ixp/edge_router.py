@@ -130,10 +130,18 @@ class EdgeRouter:
         and one rule-set version bump instead of one per rule, which is
         what makes staging tens of thousands of fine-grained rules
         tractable.
+
+        On TCAM exhaustion the router ends where sequential calls would
+        have stopped: the rules allocated so far are installed, a rule the
+        failing one replaces is removed, and the raised
+        :class:`TcamExhaustedError` reports the installed count as
+        ``landed``.
         """
         port = self.port_for(member_asn)
         rules = list(rules)
         allocated = 0
+        # Id of the rule a failing allocation was replacing, if any.
+        evicted = ""
         try:
             for rule in rules:
                 mac_filters = rule.match.mac_filter_entries
@@ -154,10 +162,12 @@ class EdgeRouter:
                 try:
                     self.tcam.allocate(port.port_id, mac_filters, l3l4)
                 except Exception:
-                    if old is not None and port.qos.remove(rule.rule_id):
+                    if old is not None:
                         # Sequential install_rule removes the replaced rule
-                        # from the data plane before the failing allocate.
-                        self.config_operations += 1
+                        # from the data plane before the failing allocate;
+                        # that may be a version earlier in this batch, so
+                        # the removal runs after the landed prefix below.
+                        evicted = rule.rule_id
                     raise
                 if old is not None:
                     self.config_operations += 1
@@ -169,6 +179,9 @@ class EdgeRouter:
                         mac_filters=mac_filters,
                         l3l4_criteria=l3l4,
                     )
+        except TcamExhaustedError as error:
+            error.landed = allocated
+            raise
         finally:
             # On TCAM exhaustion mid-batch, the rules allocated so far must
             # still reach the data plane — exactly where sequential
@@ -176,6 +189,8 @@ class EdgeRouter:
             if allocated:
                 port.qos.install_many(rules[:allocated])
                 self.config_operations += allocated
+            if evicted and port.qos.remove(evicted):
+                self.config_operations += 1
         return TcamStatus.OK
 
     def remove_rule(self, member_asn: int, rule_id: str) -> bool:

@@ -283,8 +283,8 @@ class SwitchingFabric:
         mid-run configuration change is picked up on the next interval
         while steady-state intervals skip the recompile entirely — and
         the per-port compiled match indexes are cached on the policies
-        themselves, so even a recompile only rebuilds touched ports'
-        indexes.
+        themselves, so a recompile compiles only the touched ports'
+        indexes afresh.
 
         A stale cached plan is *patched*, not rebuilt: the replacement
         plan adopts the previous plan's compiled segment for every port

@@ -20,7 +20,6 @@ vectorized column matchers — the fast path the attack experiments run on.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -46,18 +45,6 @@ from .ruleindex import RuleMatchIndex
 #: :class:`~repro.ixp.ruleindex.RuleMatchIndex`; ``"per-rule"`` is the
 #: parity-tested fallback running one vectorized match pass per rule.
 CLASSIFICATION_ENGINES = ("indexed", "per-rule")
-
-#: Journal entries kept between compiles.  A cached index older than the
-#: journal's reach is recompiled from scratch; 64 entries comfortably
-#: covers the control-plane service's per-drain churn while bounding how
-#: many splices one :meth:`PortQosPolicy.compiled_index` call can replay.
-_JOURNAL_LIMIT = 64
-
-#: Largest :meth:`PortQosPolicy.install_many` batch maintained as splices.
-#: Past this, one full re-sort + recompile is cheaper than per-rule
-#: insertion — the staging path for tens of thousands of rules keeps its
-#: O(R log R) bulk behaviour.
-_BATCH_DELTA_LIMIT = 32
 
 
 class FilterAction(Enum):
@@ -377,7 +364,9 @@ class PortQosPolicy:
     a :class:`~repro.ixp.ruleindex.RuleMatchIndex` cached behind
     :attr:`rules_version` (the counter bumped by every :meth:`install` /
     :meth:`remove` / :meth:`clear`), ``"per-rule"`` runs the parity-tested
-    one-pass-per-rule fallback.  Both produce identical verdicts.
+    one-pass-per-rule fallback.  Both produce identical verdicts.  Every
+    mutation re-sorts the rules, and the next classification compiles a
+    fresh index.
     """
 
     def __init__(
@@ -394,25 +383,10 @@ class PortQosPolicy:
         self.classification_engine = classification_engine
         self._rules: list[QosRule] = []
         self._sorted_rules: list[QosRule] = []
-        #: Negated specificity of each sorted rule (ascending), so a
-        #: bisect_right lands a new rule exactly where the stable
-        #: most-specific-first sort would have placed it.
-        self._sorted_specs: list[int] = []
         self._shapers: dict[str, RateLimiter] = {}
         #: Monotonic rule-set version; every mutation bumps it, and the
         #: compiled index / fabric delivery plan caches key off it.
         self._version = 0
-        #: Change journal between versions: ``(version_after, deltas)``
-        #: entries where each delta is ``("install", rule, rank)`` or
-        #: ``("remove", rule_id, rank)`` against the sorted order at the
-        #: time the delta was recorded.  :meth:`compiled_index` replays it
-        #: to patch the previous cached snapshot forward instead of
-        #: recompiling; a full re-sort (or overflow past the journal
-        #: limit) resets it and the next compile falls back to scratch.
-        self._journal: list[tuple[int, tuple]] = []
-        #: Lowest version a cached index may hold and still be patched
-        #: forward by replaying the journal.
-        self._journal_base = 0
         self._index: Optional[RuleMatchIndex] = None
         self._index_version = -1
         self._action_codes: Optional[np.ndarray] = None
@@ -425,33 +399,13 @@ class PortQosPolicy:
         self._version += 1
         self._action_codes = None
 
-    def _record(self, deltas: list[tuple]) -> None:
-        """Journal the deltas that produced the current version."""
-        self._journal.append((self._version, tuple(deltas)))
-        while len(self._journal) > _JOURNAL_LIMIT:
-            del self._journal[0]
-            self._journal_base = self._journal[0][0] - 1
-
-    def _insert_sorted(self, rule: QosRule) -> int:
-        """Splice one appended rule into the sorted views; returns its rank."""
-        spec = -rule.match.specificity
-        position = bisect_right(self._sorted_specs, spec)
-        self._sorted_rules.insert(position, rule)
-        self._sorted_specs.insert(position, spec)
-        return position
-
     def _resort(self) -> None:
         # Stable sort: ties keep installation order, so the first match in
         # sorted order equals the most specific (earliest-installed) rule.
         self._sorted_rules = sorted(
             self._rules, key=lambda rule: rule.match.specificity, reverse=True
         )
-        self._sorted_specs = [-rule.match.specificity for rule in self._sorted_rules]
         self._bump()
-        # A full re-sort rebuilds the order wholesale; the journal can no
-        # longer describe the change as splices, so patching restarts here.
-        self._journal = []
-        self._journal_base = self._version
 
     def _normalise(self, rule: QosRule, taken: Optional[set] = None) -> QosRule:
         """Give anonymous SHAPE rules a unique synthetic id.
@@ -480,41 +434,15 @@ class PortQosPolicy:
             self._shapers[rule.rule_id] = RateLimiter(rate_bps=rule.shape_rate_bps)
 
     def install(self, rule: QosRule) -> None:
-        """Install a rule (replacing any existing rule with the same id).
-
-        Maintained as splices: the replaced rule (if any) and the new rule
-        each touch one position of the sorted views, and the change is
-        journalled so the next :meth:`compiled_index` call patches the
-        cached snapshot instead of recompiling O(rules) from scratch.
-        """
+        """Install a rule (replacing any existing rule with the same id)."""
         rule = self._normalise(rule)
-        deltas: list[tuple] = []
         if rule.rule_id:
-            self._remove_sorted(rule.rule_id, deltas)
             self._rules = [
                 existing for existing in self._rules if existing.rule_id != rule.rule_id
             ]
             self._shapers.pop(rule.rule_id, None)
         self._attach(rule)
-        deltas.append(("install", rule, self._insert_sorted(rule)))
-        self._bump()
-        self._record(deltas)
-
-    def _remove_sorted(self, rule_id: str, deltas: list[tuple]) -> None:
-        """Splice every rule carrying ``rule_id`` out of the sorted views.
-
-        Ranks are journalled in descending order so each recorded rank is
-        valid against the sorted order the moment its delta is replayed.
-        """
-        ranks = [
-            rank
-            for rank, existing in enumerate(self._sorted_rules)
-            if existing.rule_id == rule_id
-        ]
-        for rank in reversed(ranks):
-            del self._sorted_rules[rank]
-            del self._sorted_specs[rank]
-            deltas.append(("remove", rule_id, rank))
+        self._resort()
 
     def install_many(self, rules: Iterable[QosRule]) -> None:
         """Install a batch of rules with one re-sort and one version bump.
@@ -546,25 +474,9 @@ class PortQosPolicy:
             self._rules = [rule for rule in self._rules if rule.rule_id not in seen]
             for rule_id in seen:
                 self._shapers.pop(rule_id, None)
-        if len(batch) > _BATCH_DELTA_LIMIT:
-            # Bulk staging: one stable sort beats thousands of splices.
-            # _resort resets the journal, so the next compile is scratch.
-            for rule in batch:
-                self._attach(rule)
-            self._resort()
-            return
-        deltas: list[tuple] = []
-        for rule_id in seen:
-            self._remove_sorted(rule_id, deltas)
         for rule in batch:
             self._attach(rule)
-            # Sequential bisect insertion of the appended batch equals the
-            # stable most-specific-first sort of the combined list: each
-            # appended rule lands after every equal-specificity rule
-            # already placed, exactly its stable-sort position.
-            deltas.append(("install", rule, self._insert_sorted(rule)))
-        self._bump()
-        self._record(deltas)
+        self._resort()
 
     def remove(self, rule_id: str) -> bool:
         """Remove the rule with the given id.  Returns True if found.
@@ -579,10 +491,7 @@ class PortQosPolicy:
             return False
         self._rules = remaining
         self._shapers.pop(rule_id, None)
-        deltas: list[tuple] = []
-        self._remove_sorted(rule_id, deltas)
-        self._bump()
-        self._record(deltas)
+        self._resort()
         return True
 
     def rules(self) -> list[QosRule]:
@@ -622,12 +531,8 @@ class PortQosPolicy:
             return
         self._rules.clear()
         self._sorted_rules.clear()
-        self._sorted_specs.clear()
         self._shapers.clear()
         self._bump()
-        # Cheaper to compile the empty set than to replay N removals.
-        self._journal = []
-        self._journal_base = self._version
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -649,30 +554,10 @@ class PortQosPolicy:
     def compiled_index(self) -> RuleMatchIndex:
         """The rule-match index for the current rule set (cached per version).
 
-        When the change journal still covers the cached snapshot's
-        version, the deltas recorded since are replayed through
-        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_installed` /
-        :meth:`~repro.ixp.ruleindex.RuleMatchIndex.with_removed` — each an
-        O(touched group) splice — instead of recompiling the whole rule
-        set; a re-sort, a :meth:`clear` or journal overflow falls back to
-        the from-scratch compile.  Either way the result is structurally
-        identical (the fuzz suite pins it).
+        Any mutation moves :attr:`rules_version`, and the next call
+        compiles a fresh snapshot of the sorted rules; every other call
+        returns the cached one.
         """
-        if self._index is not None and self._index_version != self._version:
-            if self._index_version >= self._journal_base:
-                index = self._index
-                for version_after, deltas in self._journal:
-                    if version_after <= self._index_version:
-                        continue
-                    for delta in deltas:
-                        if delta[0] == "install":
-                            index = index.with_installed(delta[1], delta[2])
-                        else:
-                            index = index.with_removed(delta[1], delta[2])
-                self._index = index
-                self._index_version = self._version
-            else:
-                self._index = None
         if self._index is None or self._index_version != self._version:
             self._index = RuleMatchIndex(self._sorted_rules)
             self._index_version = self._version

@@ -21,11 +21,9 @@ members' concurrent ``install`` / ``install_many`` / ``remove`` /
   drained into a single :meth:`EdgeRouter.install_rules` batch: one
   ``rules_version`` bump per drained batch instead of one per rule (the
   amortization the ``rule_churn`` scenario and ``BENCH_service.json``
-  measure).  Since the incremental-compile work in
-  :mod:`~repro.ixp.ruleindex`, the per-drain index cost is small even
-  uncoalesced — small batches replay as journal deltas into the cached
-  snapshot rather than triggering a full recompile — but one bump per
-  batch still means one delivery-plan patch per drain;
+  measure).  Each bump costs the port one
+  :class:`~repro.ixp.ruleindex.RuleMatchIndex` compile and one
+  delivery-plan patch on the next interval;
 * **per-member change budgets** — a member may spend at most
   ``rate × window`` configuration operations per budget window, with
   the rate backed by the noise-free CPU model; over-budget requests are
@@ -512,15 +510,23 @@ class ControlPlaneService:
         rules = tuple(
             rule for pending in batch for rule in pending.request.rules
         )
-        exhausted = False
+        landed = len(rules)
         try:
             lane.router.install_rules(member_asn, rules)
-        except TcamExhaustedError:
+        except TcamExhaustedError as error:
             # install_rules leaves the data plane exactly where sequential
-            # installs would have stopped; record the error so the replay
-            # oracle attempts (and swallows) the same failure.
-            exhausted = True
-            self.stats.tcam_errors += len(batch)
+            # installs would have stopped, with the first ``landed`` rules
+            # installed; the log records the error so the replay oracle
+            # attempts (and swallows) the same failure.
+            landed = error.landed
+        # Requests whose every rule landed are applied; the request the
+        # TCAM ran out in, and every request queued behind it, are not.
+        applied = 0
+        for pending in batch:
+            landed -= len(pending.request.rules)
+            if landed < 0:
+                break
+            applied += 1
         if len(batch) > 1:
             self.stats.coalesced_batches += 1
             self.stats.coalesced_ops += len(rules)
@@ -531,7 +537,7 @@ class ControlPlaneService:
             horizon,
             resolved,
             rules=rules,
-            tcam_exhausted=exhausted,
+            failed=len(batch) - applied,
         )
 
     def _log_and_resolve(
@@ -544,8 +550,13 @@ class ControlPlaneService:
         *,
         rules: tuple[QosRule, ...] = (),
         rule_id: str = "",
-        tcam_exhausted: bool = False,
+        failed: int = 0,
     ) -> None:
+        """Log one data-plane call and answer its requests.
+
+        The last ``failed`` requests of ``batch`` hit TCAM exhaustion and
+        are answered ``error``; the others are answered ``applied``.
+        """
         applied_at = batch[-1].done_at
         self.request_log.append(
             AppliedChange(
@@ -556,14 +567,15 @@ class ControlPlaneService:
                 applied_at=applied_at,
                 horizon=math.inf if horizon is None else horizon,
                 request_ids=tuple(p.request.request_id for p in batch),
-                tcam_exhausted=tcam_exhausted,
+                tcam_exhausted=failed > 0,
             )
         )
         self.stats.data_plane_calls += 1
-        for pending in batch:
+        for position, pending in enumerate(batch):
             request = pending.request
             latency = pending.done_at - request.arrival_time
-            if tcam_exhausted:
+            if position >= len(batch) - failed:
+                self.stats.tcam_errors += 1
                 response = ServiceResponse(
                     status="error",
                     request_id=request.request_id,

@@ -33,6 +33,11 @@ class TcamExhaustedError(RuntimeError):
     def __init__(self, status: TcamStatus, message: str) -> None:
         super().__init__(message)
         self.status = status
+        #: Rules of a batch install
+        #: (:meth:`~repro.ixp.edge_router.EdgeRouter.install_rules`) that
+        #: were installed before the limit was hit: the batch's first
+        #: ``landed`` rules.
+        self.landed = 0
 
 
 @dataclass

@@ -6,22 +6,16 @@
 ``self._rules`` / ``self._sorted_rules`` that forgets the bump leaves
 both caches silently serving a stale rule set — the exact bug class the
 ``RuleStateMachine`` fuzz found dynamically in PR 6 (and its inverse:
-no-op mutations that bumped spuriously).  Since the incremental-compile
-PR, the change journal ``self._journal`` is a rule container too: its
-entries are what :meth:`~repro.ixp.qos.PortQosPolicy.compiled_index`
-replays into the cached snapshot, so a journal append that skips the
-bump desynchronises the journal from the version counter and the next
-patch replays deltas the container state never saw.  This rule checks
-the invariant *structurally*, on any class that manages a ``_version``
+no-op mutations that bumped spuriously).  This rule checks the
+invariant *structurally*, on any class that manages a ``_version``
 counter next to a ``_rules`` list:
 
-- a method that mutates the rule containers (``_rules``,
-  ``_sorted_rules`` or ``_journal``) must bump ``self._version`` in its
-  own body or call an in-class method that (transitively) does;
+- a method that mutates the rule containers (``_rules`` or
+  ``_sorted_rules``) must bump ``self._version`` in its own body or call
+  an in-class method that (transitively) does;
 - a private mutator helper is exempt iff every in-class caller is
   bump-reachable (the ``_attach`` pattern: callers end with
-  ``_resort()``; the ``_record`` pattern: callers bump before
-  journalling);
+  ``_resort()``);
 - ``__init__`` / ``__setstate__`` construct rather than mutate.
 """
 
@@ -33,7 +27,7 @@ from collections.abc import Iterator
 from ..engine import Finding, ParsedModule
 from .base import LintRule, is_self_attribute, walk_scope
 
-_RULE_CONTAINERS = {"_rules", "_sorted_rules", "_journal"}
+_RULE_CONTAINERS = {"_rules", "_sorted_rules"}
 _VERSION_ATTRS = {"_version"}
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 _CONSTRUCTORS = {"__init__", "__new__", "__setstate__"}

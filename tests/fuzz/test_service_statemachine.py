@@ -5,7 +5,7 @@ One Hypothesis state machine drives the *async* :class:`ControlPlaneService`
 while mirroring every change it actually applied onto fabric B through the
 synchronous :class:`ScriptedPortal`, one rule at a time.  After every burst
 the machine fully drains the service, replays the new request-log entries
-on B in canonical order, and asserts:
+on B in the order the service applied them, and asserts:
 
 * both fabrics hold **identical rule state** per member (same rules, same
   order, same ids) — batching is an amortization, never a semantic change;
@@ -14,19 +14,28 @@ on B in canonical order, and asserts:
   fallbacks, so this doubles as cross-engine parity);
 * ``rules_version`` is **monotonic** on both sides;
 * the per-member, per-window **budget is never exceeded** by accepted
-  operations, and every rejection carries an actionable ``retry_after``.
+  operations, and every rejection carries an actionable ``retry_after``;
+* every install **response matches the rule state** it left behind: B
+  replays each drained batch request by request, one rule at a time,
+  stopping where the service's batch stopped.  An ``applied`` request's
+  rules are all installed after its replay; an ``error`` request is the
+  one the TCAM ran out in (its failing rule is absent) or one queued
+  behind it in the same batch (never attempted).
 
 The tight knobs (``max_queue_depth=16``, one op/second member budget) make
 generated bursts actually hit the backpressure and budget paths instead of
-only the happy path.
+only the happy path.  ``SmallTcamServiceStateMachine`` reruns the machine
+on routers with room for a handful of rules, so coalesced batches
+regularly run out of TCAM part-way.
 """
 
 import asyncio
+from dataclasses import replace
 
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.ixp import ControlPlaneService, ScriptedPortal, TcamExhaustedError
+from repro.ixp import ControlPlaneService, ScriptedPortal, TcamExhaustedError, TcamModel
 
 from .strategies import (
     UNKNOWN_EGRESS_ASN,
@@ -47,7 +56,23 @@ MAX_QUEUE_DEPTH = 16
 _EPS = 1e-9
 
 
+def holds(rules, rule):
+    """Whether ``rule`` is among the installed ``rules``.
+
+    Anonymous SHAPE rules are installed under a synthetic ``anon-<n>``
+    id, so an anonymous rule matches any installed rule equal to it
+    apart from the id.
+    """
+    if rule in rules:
+        return True
+    return not rule.rule_id and any(replace(held, rule_id="") == rule for held in rules)
+
+
 class ServiceStateMachine(RuleBasedStateMachine):
+    #: ``(mac_filter_capacity, l3l4_criteria_capacity)`` of every edge
+    #: router, or ``None`` for the hardware profile's (ample) pools.
+    TCAM = None
+
     def __init__(self):
         super().__init__()
         self.loop = asyncio.new_event_loop()
@@ -55,6 +80,12 @@ class ServiceStateMachine(RuleBasedStateMachine):
         self.fabric_b = build_fabric(
             SPEC, delivery_engine="per-member", classification_engine="per-rule"
         )
+        if self.TCAM is not None:
+            for fabric in (self.fabric_a, self.fabric_b):
+                for asn in MEMBERS:
+                    # Before any install, so members sharing a router
+                    # share one fresh pool.
+                    fabric.router_for_member(asn).tcam = TcamModel(*self.TCAM)
         self.service = ControlPlaneService(
             self.fabric_a,
             coalesce=True,
@@ -72,6 +103,11 @@ class ServiceStateMachine(RuleBasedStateMachine):
         #: Accepted ops per ``(member, window)`` — rebuilt from responses.
         self.ledger = {}
         self.step = 0
+        #: ``request_id -> (request, response)`` of every resolved request.
+        self.outcomes = {}
+        #: Install answers not yet checked against the state B reached:
+        #: ``(response, expected_status, missing_rules, leftover_rule)``.
+        self.install_answers = []
 
     def teardown(self):
         try:
@@ -108,6 +144,7 @@ class ServiceStateMachine(RuleBasedStateMachine):
 
     def _check_responses(self, outcomes):
         for request, response in outcomes:
+            self.outcomes[request.request_id] = (request, response)
             assert response.request_id == request.request_id
             assert response.member_asn == request.member_asn
             if response.status == "telemetry":
@@ -126,19 +163,65 @@ class ServiceStateMachine(RuleBasedStateMachine):
                 self.ledger[key] = self.ledger.get(key, 0) + request.cost
 
     def _mirror_new_log_entries(self):
-        """Replay everything the service newly applied through the portal."""
+        """Replay everything the service newly applied through the portal.
+
+        Entries replay in the order the service made the calls, not in
+        ``sorted_log()``'s ``(applied_at, member_asn)`` order: a member's
+        coalesced batch is flushed after later calls of other members on
+        the same router, which decides who gets a full TCAM's last entry.
+        """
         new = self.service.request_log[self.replayed :]
         self.replayed = len(self.service.request_log)
-        for entry in sorted(new, key=lambda e: (e.applied_at, e.member_asn)):
+        for entry in new:
             if entry.op == "install_many":
-                try:
-                    self.portal.install_many(entry.member_asn, entry.rules)
-                except TcamExhaustedError:
-                    assert entry.tcam_exhausted, entry
+                self._mirror_install_batch(entry)
             elif entry.op == "remove":
                 self.portal.remove(entry.member_asn, entry.rule_id)
             elif entry.op == "clear":
                 self.portal.clear(entry.member_asn)
+
+    def _mirror_install_batch(self, entry):
+        """Replay one install batch on B, request by request, rule by rule.
+
+        The service's batch stops at the first rule the TCAM refuses, so
+        the replay does too; every request's answer is recorded next to
+        what its replay left installed.
+        """
+        policy = self.fabric_b.port_for_member(entry.member_asn).qos
+        exhausted = False
+        for request_id in entry.request_ids:
+            request, response = self.outcomes[request_id]
+            if exhausted:
+                self.install_answers.append((response, "error", [], None))
+                continue
+            rules = request.rules
+            attempted = len(rules)
+            for position, rule in enumerate(rules):
+                try:
+                    self.portal.install(entry.member_asn, rule)
+                except TcamExhaustedError:
+                    exhausted = True
+                    attempted = position + 1
+                    break
+            landed = attempted - 1 if exhausted else attempted
+            # A landed rule must be installed unless a later attempted rule
+            # of the request reuses its id.
+            kept = [
+                rule
+                for position, rule in enumerate(rules[:landed])
+                if not rule.rule_id
+                or rule.rule_id not in {later.rule_id for later in rules[position + 1 : attempted]}
+            ]
+            installed = policy.rules()
+            missing = [rule for rule in kept if not holds(installed, rule)]
+            leftover = None
+            if exhausted:
+                failed = rules[landed]
+                if failed.rule_id and failed.rule_id in policy.rule_ids():
+                    leftover = failed
+            expected = "error" if exhausted else "applied"
+            self.install_answers.append((response, expected, missing, leftover))
+        assert exhausted == entry.tcam_exhausted, entry
 
     # ------------------------------------------------------------------
     # Rules
@@ -214,5 +297,22 @@ class ServiceStateMachine(RuleBasedStateMachine):
     def queues_fully_drained(self):
         assert self.service.queue_depth() == 0
 
+    @invariant()
+    def install_responses_match_rule_state(self):
+        """``applied`` rules are installed; an ``error`` left its rule out."""
+        for response, expected, missing, leftover in self.install_answers:
+            assert response.status == expected, response
+            assert not missing, (response, missing)
+            assert leftover is None, (response, leftover)
+            if expected == "error":
+                assert response.reason == "tcam-exhausted", response
+        self.install_answers.clear()
+
+
+class SmallTcamServiceStateMachine(ServiceStateMachine):
+    #: Two MAC entries and eight L3-L4 criteria per router: a few rules.
+    TCAM = (2, 8)
+
 
 TestServiceStateMachine = ServiceStateMachine.TestCase
+TestSmallTcamServiceStateMachine = SmallTcamServiceStateMachine.TestCase

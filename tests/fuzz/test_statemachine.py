@@ -29,7 +29,7 @@ from fuzz.strategies import (
     qos_rules,
     rule_sets,
 )
-from repro.ixp import FilterAction, RuleMatchIndex, TcamExhaustedError
+from repro.ixp import FilterAction, TcamExhaustedError
 
 INTERVAL = 10.0
 
@@ -221,22 +221,6 @@ class RuleStateMachine(RuleBasedStateMachine):
                         mac + leak_mac,
                         l3l4 + leak_l3l4,
                     ), (fabric.delivery_engine, router.name, port.port_id)
-
-    @invariant()
-    def incremental_index_equals_scratch_compile(self):
-        """The delta-patched index is *structurally* the scratch compile.
-
-        Verdict parity alone would let a mis-spliced group hide behind
-        rules that never claim rows; structural equality (same keys and
-        ranks per signature group, same rule list) pins the incremental
-        maintenance itself after every install / install_many / remove /
-        clear interleaving.
-        """
-        for asn in MEMBERS:
-            policy_a, _ = self.policies(asn)
-            incremental = policy_a.compiled_index()
-            scratch = RuleMatchIndex(policy_a.sorted_rules())
-            assert incremental.structure() == scratch.structure(), asn
 
     @invariant()
     def every_shape_rule_has_its_own_shaper(self):

@@ -399,6 +399,30 @@ class TestVersionCounterAndCaching:
         table = flow_table(seed=13)
         assert np.array_equal(bulk.assign_table(table), sequential.assign_table(table))
 
+    def test_mutate_then_classify_matches_per_rule(self):
+        table = flow_table(seed=17)
+        indexed = make_policy("indexed")
+        indexed.compiled_index()  # a warm snapshot the mutations must retire
+        per_rule = make_policy("per-rule")
+        for policy in (indexed, per_rule):
+            policy.install(host_drop("10.1.0.40", 123, "late"))
+            policy.install(host_drop("10.1.0.1", 123, "exact-ntp"))  # replace
+            policy.remove("exact-dns")
+        assert np.array_equal(indexed.assign_table(table), per_rule.assign_table(table))
+
+    def test_clear_then_classify_matches_per_rule(self):
+        table = flow_table(seed=18)
+        indexed = make_policy("indexed")
+        indexed.compiled_index()
+        per_rule = make_policy("per-rule")
+        for policy in (indexed, per_rule):
+            policy.clear()
+        assert indexed.compiled_index().rule_count == 0
+        assert (indexed.assign_table(table) == -1).all()
+        for policy in (indexed, per_rule):
+            policy.install(host_drop("10.1.0.1", 53, "after-clear"))
+        assert np.array_equal(indexed.assign_table(table), per_rule.assign_table(table))
+
 
 class TestFabricPlanCache:
     def build_fabric(self):
@@ -512,14 +536,9 @@ class TestAnonymousShapeRules:
 
 
 class TestBulkInstall:
-    def test_tcam_exhaustion_mid_batch_keeps_allocated_prefix_active(self):
-        # Exception safety: a batch that exhausts the TCAM must leave the
-        # router exactly where sequential install_rule calls would have —
-        # the rules allocated before the failure are active on the data
-        # plane, and the TCAM accounting matches them.
+    @staticmethod
+    def tiny_tcam_router():
         from dataclasses import replace
-
-        from repro.ixp import TcamExhaustedError
 
         profile = replace(
             l_ixp_edge_router_profile(),
@@ -530,9 +549,20 @@ class TestBulkInstall:
         fabric = SwitchingFabric(name="t-ixp")
         fabric.add_edge_router(router)
         fabric.connect_member(IxpMember(asn=64500, port_capacity_bps=10e9))
+        return router
+
+    def test_tcam_exhaustion_mid_batch_keeps_allocated_prefix_active(self):
+        # Exception safety: a batch that exhausts the TCAM must leave the
+        # router exactly where sequential install_rule calls would have —
+        # the rules allocated before the failure are active on the data
+        # plane, and the TCAM accounting matches them.
+        from repro.ixp import TcamExhaustedError
+
+        router = self.tiny_tcam_router()
         rules = [host_drop(f"10.1.0.{i}", 123, f"r{i}") for i in range(5)]
-        with pytest.raises(TcamExhaustedError):
+        with pytest.raises(TcamExhaustedError) as raised:
             router.install_rules(64500, rules)
+        assert raised.value.landed == 2
         port = router.port_for(64500)
         assert len(port.qos) == 2
         assert {rule.rule_id for rule in port.qos.rules()} == {"r0", "r1"}
@@ -542,6 +572,37 @@ class TestBulkInstall:
         table = flow_table(n=500, seed=40)
         result = port.qos.apply(table, interval=10.0)
         assert set(result.rule_stats) <= {"r0", "r1"}
+
+    def test_tcam_exhaustion_on_replacement_matches_sequential(self):
+        # The failing rule replaces a version installed earlier in the same
+        # batch.  Sequential install_rule calls remove that version before
+        # the failing allocate, so the batch must not leave it active.
+        from repro.ixp import TcamExhaustedError
+
+        wide = QosRule(
+            match=FlowMatch(
+                dst_prefix=Prefix.parse("10.1.0.1/32"),
+                src_prefix=Prefix.parse("203.0.113.9/32"),
+                protocol=IpProtocol.UDP,
+                src_port=123,
+                dst_port=53,
+            ),
+            action=FilterAction.DROP,
+            rule_id="x",
+        )
+        rules = [host_drop("10.1.0.1", 123, "x"), host_drop("10.1.0.2", 123, "y"), wide]
+        batched, sequential = self.tiny_tcam_router(), self.tiny_tcam_router()
+        with pytest.raises(TcamExhaustedError) as raised:
+            batched.install_rules(64500, rules)
+        assert raised.value.landed == 2
+        with pytest.raises(TcamExhaustedError):
+            for rule in rules:
+                sequential.install_rule(64500, rule)
+        for router in (batched, sequential):
+            assert router.port_for(64500).qos.rule_ids() == ["y"]
+            assert {r.rule_id for r in router.installed_rules()} == {"y"}
+            assert router.tcam.l3l4_criteria_used == 3
+        assert batched.config_operations == sequential.config_operations
 
     def test_stale_plan_execute_is_rejected(self):
         from repro.ixp import FabricDeliveryPlan
@@ -592,188 +653,12 @@ class TestBulkInstall:
         assert len(router.installed_rules()) == 20
 
 
-class TestIncrementalDeltas:
-    """with_installed / with_removed vs a from-scratch compile.
-
-    The delta ops must be *structurally* identical to recompiling the
-    new rule list — same keys and ranks per signature group — not just
-    verdict-equal, because a mis-spliced group can hide behind rules
-    that never claim rows.
-    """
-
-    def scratch(self, rules):
-        return RuleMatchIndex(rules).structure()
-
-    def test_install_at_every_rank_matches_scratch(self):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        newcomer = host_drop("10.1.0.77", 19, "newcomer")
-        for rank in range(len(rules) + 1):
-            patched = base.with_installed(newcomer, rank)
-            expected = rules[:rank] + [newcomer] + rules[rank:]
-            assert patched.structure() == self.scratch(expected), rank
-
-    def test_install_default_rank_appends(self):
-        rules = mixed_rules()
-        newcomer = host_drop("10.1.0.77", 19, "newcomer")
-        patched = RuleMatchIndex(rules).with_installed(newcomer)
-        assert patched.structure() == self.scratch(rules + [newcomer])
-
-    def test_install_fallback_rule_matches_scratch(self):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        broad = QosRule(
-            match=FlowMatch(dst_prefix=Prefix.parse("10.2.0.0/16"), src_port=53),
-            action=FilterAction.DROP,
-            rule_id="broad-dns",
-        )
-        for rank in (0, 3, len(rules)):
-            patched = base.with_installed(broad, rank)
-            expected = rules[:rank] + [broad] + rules[rank:]
-            assert patched.structure() == self.scratch(expected), rank
-
-    def test_remove_each_rule_matches_scratch(self):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        for rank, rule in enumerate(rules):
-            patched = base.with_removed(rule.rule_id, rank)
-            expected = rules[:rank] + rules[rank + 1 :]
-            assert patched.structure() == self.scratch(expected), rule.rule_id
-
-    def test_remove_by_id_finds_rank(self):
-        rules = mixed_rules()
-        patched = RuleMatchIndex(rules).with_removed("mac-peer")
-        expected = [rule for rule in rules if rule.rule_id != "mac-peer"]
-        assert patched.structure() == self.scratch(expected)
-
-    def test_duplicate_exact_keys_survive_removal(self):
-        # Two rules with an identical packed key: removing one must leave
-        # the other in the group (the compile keeps duplicates precisely
-        # so the delta ops stay splice-exact).
-        rules = [
-            host_drop("10.1.0.1", 123, "first"),
-            host_drop("10.1.0.1", 123, "second"),
-        ]
-        patched = RuleMatchIndex(rules).with_removed("first", 0)
-        assert patched.structure() == self.scratch([rules[1]])
-        table = flow_table(seed=6)
-        hits = patched.assign(table)
-        assert (hits[hits >= 0] == 0).all()
-
-    def test_delta_ops_leave_the_base_untouched(self):
-        rules = mixed_rules()
-        base = RuleMatchIndex(rules)
-        before = base.structure()
-        base.with_installed(host_drop("10.1.0.9", 53, "x"), 0)
-        base.with_removed("catch-all")
-        assert base.structure() == before
-
-    def test_chained_deltas_match_scratch(self):
-        rules = mixed_rules()
-        index = RuleMatchIndex(rules)
-        index = index.with_installed(host_drop("10.1.0.8", 19, "chain-a"), 2)
-        rules.insert(2, host_drop("10.1.0.8", 19, "chain-a"))
-        index = index.with_removed("prefix-ntp")
-        rules = [rule for rule in rules if rule.rule_id != "prefix-ntp"]
-        index = index.with_installed(
-            QosRule(match=FlowMatch(dst_port=9), action=FilterAction.DROP, rule_id="chain-b"),
-            0,
-        )
-        rules.insert(0, QosRule(match=FlowMatch(dst_port=9), action=FilterAction.DROP, rule_id="chain-b"))
-        assert index.structure() == self.scratch(rules)
-
-    def test_install_rank_out_of_range(self):
-        base = RuleMatchIndex(mixed_rules())
-        with pytest.raises(IndexError, match="insert rank"):
-            base.with_installed(host_drop("10.1.0.9", 19, "x"), len(mixed_rules()) + 1)
-        with pytest.raises(IndexError, match="insert rank"):
-            base.with_installed(host_drop("10.1.0.9", 19, "x"), -1)
-
-    def test_remove_unknown_id_raises(self):
-        base = RuleMatchIndex(mixed_rules())
-        with pytest.raises(KeyError, match="no rule with id"):
-            base.with_removed("ghost")
-
-    def test_remove_rank_id_mismatch_raises(self):
-        base = RuleMatchIndex(mixed_rules())
-        with pytest.raises(KeyError, match="carries id"):
-            base.with_removed("exact-ntp", 3)
-        with pytest.raises(IndexError, match="remove rank"):
-            base.with_removed("exact-ntp", 99)
-
-
-class TestJournalledCompile:
-    """PortQosPolicy.compiled_index() patches the cached snapshot."""
-
-    def scratch(self, policy):
-        return RuleMatchIndex(policy.sorted_rules()).structure()
-
-    def test_single_mutations_patch_the_snapshot(self):
-        policy = make_policy("indexed")
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.install(host_drop("10.1.0.50", 19, "late"))
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.remove("prefix-ntp")
-        assert policy.compiled_index().structure() == self.scratch(policy)
-        policy.install(host_drop("10.1.0.1", 123, "exact-ntp"))  # replace
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_batch_below_limit_journals_deltas(self):
-        policy = make_policy("indexed")
-        policy.compiled_index()
-        batch = [host_drop(f"10.1.1.{i}", 53, f"b{i}") for i in range(5)]
-        policy.install_many(batch)
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_large_batch_falls_back_to_full_compile(self):
-        from repro.ixp.qos import _BATCH_DELTA_LIMIT
-
-        policy = make_policy("indexed")
-        policy.compiled_index()
-        batch = [
-            host_drop(f"10.1.{i // 200}.{i % 200}", 53, f"big{i}")
-            for i in range(_BATCH_DELTA_LIMIT + 1)
-        ]
-        policy.install_many(batch)
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_truncated_journal_falls_back_to_full_compile(self):
-        from repro.ixp.qos import _JOURNAL_LIMIT
-
-        policy = make_policy("indexed")
-        policy.compiled_index()
-        # More mutations than the journal retains, with no compile in
-        # between: the cached snapshot is older than the journal base,
-        # so compiled_index() must recompile from scratch.
-        for i in range(_JOURNAL_LIMIT + 8):
-            policy.install(host_drop(f"10.1.{i // 200}.{i % 200}", 19, f"churn{i}"))
-        assert policy.compiled_index().structure() == self.scratch(policy)
-
-    def test_clear_resets_and_recompiles(self):
-        policy = make_policy("indexed")
-        policy.compiled_index()
-        policy.clear()
-        index = policy.compiled_index()
-        assert index.rule_count == 0
-        assert index.structure() == self.scratch(policy)
-
-    def test_patched_index_classifies_identically(self):
-        table = flow_table(seed=17)
-        warm = make_policy("indexed")
-        warm.compiled_index()  # warm snapshot, mutations below patch it
-        cold = make_policy("indexed")
-        for policy in (warm, cold):
-            policy.install(host_drop("10.1.0.40", 123, "late"))
-            policy.remove("exact-dns")
-        assert np.array_equal(warm.assign_table(table), cold.assign_table(table))
-
-
-class TestRadixBinning:
-    """Broad-prefix fallback rules are pre-filtered by top address bits."""
+class TestPrefixRules:
+    """Broad-prefix fallback rules: shape stats and per-rule parity."""
 
     def prefix_rules(self):
         return [
-            # >= RADIX_BITS bits: all binned (dst column).
+            # Broad IPv4 prefixes on the dst column.
             QosRule(
                 match=FlowMatch(dst_prefix=Prefix.parse("10.16.0.0/12"), src_port=123),
                 action=FilterAction.DROP,
@@ -789,19 +674,18 @@ class TestRadixBinning:
                 action=FilterAction.DROP,
                 rule_id="dst-24",
             ),
-            # Broad src prefix: binned on the src column.
+            # Broad src prefix.
             QosRule(
                 match=FlowMatch(src_prefix=Prefix.parse("203.0.0.0/16")),
                 action=FilterAction.DROP,
                 rule_id="src-16",
             ),
-            # /8 is wider than a radix bin: stays unbinned.
             QosRule(
                 match=FlowMatch(dst_prefix=Prefix.parse("10.0.0.0/8"), src_port=19),
                 action=FilterAction.DROP,
                 rule_id="dst-8",
             ),
-            # MAC-only and catch-all: no prefix to bin on.
+            # MAC-only and catch-all: no prefix criterion at all.
             QosRule(
                 match=FlowMatch(src_mac=derived_mac(65002)),
                 action=FilterAction.DROP,
@@ -810,13 +694,36 @@ class TestRadixBinning:
             QosRule(match=FlowMatch(), action=FilterAction.FORWARD, rule_id="catch-all"),
         ]
 
-    def test_binned_rule_count(self):
-        policy = make_policy("indexed", self.prefix_rules())
-        index = policy.compiled_index()
-        # dst-12, dst-16, dst-24, src-16 are binned; dst-8, mac-only and
-        # catch-all run over the full interval.
-        assert index.radix_binned_rule_count == 4
-        assert index.fallback_rule_count == 7
+    @staticmethod
+    def prefix_edge_table():
+        """Addresses on both sides of the prefixes' edges.
+
+        10.16.0.0/12 spans 10.16.0.0-10.31.255.255 and 198.51.100.0/24
+        ends at 198.51.100.255; the rows just outside must stay unmatched.
+        """
+        edge_ips = [
+            "10.15.255.255",
+            "10.16.0.0",
+            "10.31.255.255",
+            "10.32.0.0",
+            "198.51.100.7",
+            "198.51.101.7",
+        ]
+        n = len(edge_ips)
+        return FlowTable(
+            src_ip=np.full(n, ip_to_int("203.0.5.5"), dtype=np.uint32),
+            dst_ip=np.array([ip_to_int(ip) for ip in edge_ips], dtype=np.uint32),
+            protocol=np.full(n, 17, dtype=np.uint8),
+            src_port=np.full(n, 123, dtype=np.int32),
+            dst_port=np.full(n, 4000, dtype=np.int32),
+            start=np.zeros(n),
+            duration=np.full(n, 10.0),
+            bytes=np.full(n, 1000, dtype=np.int64),
+            packets=np.ones(n, dtype=np.int64),
+            ingress_asn=np.full(n, 65001, dtype=np.int64),
+            egress_asn=np.full(n, 64500, dtype=np.int64),
+            is_attack=np.zeros(n, dtype=bool),
+        )
 
     def test_describe_keys_are_stable(self):
         # describe() feeds golden-digested experiment payloads: the key
@@ -831,55 +738,19 @@ class TestRadixBinning:
         }
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
-    def test_radix_parity_with_per_rule(self, seed):
-        table = flow_table(seed=seed, in_prefix_fraction=0.4)
+    def test_prefix_rule_parity_with_per_rule(self, seed):
+        table = FlowTable.concat(
+            [flow_table(seed=seed, in_prefix_fraction=0.4), self.prefix_edge_table()]
+        )
         indexed = make_policy("indexed", self.prefix_rules()).assign_table(table)
         per_rule = make_policy("per-rule", self.prefix_rules()).assign_table(table)
         assert np.array_equal(indexed, per_rule)
         assert (indexed >= 0).all()  # catch-all claims the rest
 
-    def test_bin_boundary_addresses(self):
-        # Addresses straddling a radix-bin edge (the /12 boundary at
-        # 10.16.0.0 and 10.31.255.255 vs 10.32.0.0) must land exactly as
-        # the per-rule pass decides.
-        edge_ips = [
-            "10.15.255.255",
-            "10.16.0.0",
-            "10.31.255.255",
-            "10.32.0.0",
-            "198.51.100.7",
-            "198.51.101.7",
-        ]
-        n = len(edge_ips)
-        table = FlowTable(
-            src_ip=np.full(n, ip_to_int("203.0.5.5"), dtype=np.uint32),
-            dst_ip=np.array([ip_to_int(ip) for ip in edge_ips], dtype=np.uint32),
-            protocol=np.full(n, 17, dtype=np.uint8),
-            src_port=np.full(n, 123, dtype=np.int32),
-            dst_port=np.full(n, 4000, dtype=np.int32),
-            start=np.zeros(n),
-            duration=np.full(n, 10.0),
-            bytes=np.full(n, 1000, dtype=np.int64),
-            packets=np.ones(n, dtype=np.int64),
-            ingress_asn=np.full(n, 65001, dtype=np.int64),
-            egress_asn=np.full(n, 64500, dtype=np.int64),
-            is_attack=np.zeros(n, dtype=bool),
-        )
+    def test_prefix_edge_addresses(self):
+        # Addresses straddling a prefix edge (10.16.0.0 and 10.31.255.255
+        # vs 10.32.0.0) must land exactly as the per-rule pass decides.
+        table = self.prefix_edge_table()
         indexed = make_policy("indexed", self.prefix_rules()).assign_table(table)
         per_rule = make_policy("per-rule", self.prefix_rules()).assign_table(table)
         assert np.array_equal(indexed, per_rule)
-
-    def test_deltas_recompile_radix_groups(self):
-        rules = self.prefix_rules()
-        base = RuleMatchIndex(rules)
-        grown = base.with_installed(
-            QosRule(
-                match=FlowMatch(dst_prefix=Prefix.parse("192.0.2.0/24")),
-                action=FilterAction.DROP,
-                rule_id="dst-24b",
-            ),
-            0,
-        )
-        assert grown.radix_binned_rule_count == 5
-        shrunk = grown.with_removed("src-16")
-        assert shrunk.radix_binned_rule_count == 4

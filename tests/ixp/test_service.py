@@ -21,6 +21,7 @@ from repro.ixp import (
     FlowMatch,
     QosRule,
     ScriptedPortal,
+    TcamModel,
     build_multi_pop_fabric,
     make_member_population,
     replay_request_log,
@@ -296,6 +297,55 @@ class TestDraining:
         assert all(r.reason == "shutdown" for _, r in resolved)
         assert service.stats.rejected_shutdown == 3
         assert service.queue_depth() == 0
+
+
+class TestTcamExhaustion:
+    """Install responses follow the rules that actually landed."""
+
+    @staticmethod
+    def tiny_tcam_service(coalesce):
+        fabric, members = make_fabric()
+        asn = members[0]
+        # Room for exactly two drop_rule()s (two L3-L4 criteria each).
+        fabric.router_for_member(asn).tcam = TcamModel(
+            mac_filter_capacity=1, l3l4_criteria_capacity=4
+        )
+        return fabric, asn, ControlPlaneService(fabric, coalesce=coalesce)
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_single_rule_installs_answer_applied_applied_error(self, coalesce):
+        fabric, asn, service = self.tiny_tcam_service(coalesce)
+        for i in range(3):
+            service.enqueue(
+                service.make_request(
+                    asn, "install", rules=(drop_rule(f"r{i}", dst=f"10.1.0.{i + 1}/32"),)
+                )
+            )
+        resolved = service.drain_to(None)
+        assert [r.status for _, r in resolved] == ["applied", "applied", "error"]
+        assert resolved[2][1].reason == "tcam-exhausted"
+        assert fabric.port_for_member(asn).qos.rule_ids() == ["r0", "r1"]
+        assert service.stats.tcam_errors == 1
+        assert service.stats.applied_requests == 2
+
+    def test_request_cut_by_the_limit_and_those_behind_it_error(self):
+        fabric, asn, service = self.tiny_tcam_service(coalesce=True)
+        for op, rules in [
+            ("install", (drop_rule("r0", dst="10.1.0.1/32"),)),
+            (
+                "install_many",
+                (drop_rule("r1", dst="10.1.0.2/32"), drop_rule("r2", dst="10.1.0.3/32")),
+            ),
+            ("install", (drop_rule("r3", dst="10.1.0.4/32"),)),
+        ]:
+            service.enqueue(service.make_request(asn, op, rules=rules))
+        resolved = service.drain_to(None)
+        assert [r.status for _, r in resolved] == ["applied", "error", "error"]
+        # The cut request keeps its landed prefix, as sequential installs
+        # would; nothing behind it was attempted.
+        assert fabric.port_for_member(asn).qos.rule_ids() == ["r0", "r1"]
+        assert service.stats.tcam_errors == 2
+        assert [entry.tcam_exhausted for entry in service.sorted_log()] == [True]
 
 
 class TestCoalescingParity:

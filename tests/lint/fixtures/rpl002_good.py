@@ -6,33 +6,19 @@ class PortQosPolicy:
     def __init__(self):
         self._rules = []
         self._sorted_rules = []
-        self._journal = []
         self._version = 0
 
     def _resort(self):
         self._sorted_rules = sorted(self._rules, key=repr)
-        self._version += 1
-        self._journal = []
-
-    def _bump(self):
         self._version += 1
 
     def _attach(self, rule):
         # Helper: mutates without bumping, but every caller resorts.
         self._rules.append(rule)
 
-    def _record(self, deltas):
-        # Delta-journal helper: appends without bumping, but every caller
-        # bumps before journalling (the incremental-compile pattern).
-        self._journal.append((self._version, tuple(deltas)))
-        while len(self._journal) > 4:
-            del self._journal[0]
-
     def install(self, rule):
         self._attach(rule)
-        self._sorted_rules.append(rule)
-        self._bump()
-        self._record([("install", rule)])
+        self._resort()
 
     def install_many(self, rules):
         for rule in rules:
@@ -44,8 +30,7 @@ class PortQosPolicy:
         if len(remaining) == len(self._rules):
             return False
         self._rules = remaining
-        self._bump()
-        self._record([("remove", rule_id)])
+        self._resort()
         return True
 
     def clear(self):
@@ -54,4 +39,3 @@ class PortQosPolicy:
         self._rules.clear()
         self._sorted_rules.clear()
         self._version += 1
-        self._journal = []
