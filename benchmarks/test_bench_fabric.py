@@ -11,6 +11,11 @@ platform-level group-by + classification pass.
   engine is at least 5× faster.
 * ``test_bench_member_count_scaling`` prints the speedup curve over the
   member count (the per-member loop degrades linearly, the plan does not).
+* ``test_bench_churn_shaped_interval`` is the ``rule_churn`` shape: a few
+  thousand members, rules on ~1 % of the ports.  It records both
+  engines' times in ``BENCH_fabric_churn.json`` without a timing floor,
+  and asserts parity and that delivery builds a per-member result only
+  for the ports that carry rules.
 
 Both engines are parity-tested in ``tests/ixp/test_fabric_delivery.py``;
 here only the clock differs.
@@ -25,6 +30,7 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     IxpMember,
+    PortQosResult,
     QosRule,
     build_multi_pop_fabric,
     make_member_population,
@@ -198,4 +204,98 @@ def test_bench_member_count_scaling(benchmark):
     last_speedup = points[-1][2] / points[-1][3]
     assert last_speedup >= 3.0, (
         f"expected a clear batched win at {counts[-1]} members, got {last_speedup:.1f}x"
+    )
+
+
+CHURN_MEMBERS = 3000
+CHURN_RULED_PORTS = 30
+
+
+def build_churn_fabric(engine: str):
+    """``CHURN_MEMBERS`` members, a drop rule on every 100th port."""
+    fabric = build_multi_pop_fabric(
+        pop_count=4,
+        routers_per_pop=3,
+        seed=SEED,
+        delivery_engine=engine,
+        collect_ipfix=False,
+        retain_reports=False,
+        retain_history=False,
+    )
+    members = make_member_population(CHURN_MEMBERS, pop_count=4, seed=SEED)
+    for member in members:
+        fabric.connect_member(member)
+    ruled = [member.asn for member in members[:: CHURN_MEMBERS // CHURN_RULED_PORTS]]
+    for asn in ruled:
+        fabric.router_for_member(asn).install_rule(
+            asn,
+            QosRule(
+                match=FlowMatch(src_port=123), action=FilterAction.DROP, rule_id=f"drop-{asn}"
+            ),
+        )
+    return fabric, members, ruled
+
+
+def test_bench_churn_shaped_interval(monkeypatch):
+    fabric_batched, members, ruled = build_churn_fabric("batched")
+    fabric_fallback, _, _ = build_churn_fabric("per-member")
+    background = IxpTraceGenerator(
+        member_asns=[member.asn for member in members],
+        duration=3 * INTERVAL,
+        interval=INTERVAL,
+        regular_rate_bps=1e12,
+        flows_per_interval=20_000,
+        seed=SEED,
+    )
+    tables = [table for _, table in background.iter_interval_tables()]
+
+    built = []
+    build = PortQosResult.__init__
+
+    def counting_build(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(PortQosResult, "__init__", counting_build)
+    seconds = {"batched": 0.0, "per-member": 0.0}
+    members_delivered = 0
+    for step, table in enumerate(tables):
+        built.clear()
+        start = time.perf_counter()
+        report = fabric_batched.deliver(table, INTERVAL, step * INTERVAL)
+        seconds["batched"] += time.perf_counter() - start
+        members_delivered += len(report.results_by_member)
+        ruled_with_traffic = set(ruled) & set(report.member_asns.tolist())
+        assert ruled_with_traffic, "no port with rules got traffic"
+        assert len(built) == len(ruled_with_traffic), (
+            f"delivery built {len(built)} per-member results for "
+            f"{len(ruled_with_traffic)} ports with rules"
+        )
+        start = time.perf_counter()
+        expected = fabric_fallback.deliver(table, INTERVAL, step * INTERVAL)
+        seconds["per-member"] += time.perf_counter() - start
+        assert report.to_dict() == expected.to_dict(), f"interval {step}"
+
+    speedup = seconds["per-member"] / seconds["batched"]
+    print_table(
+        f"Churn-shaped delivery, {CHURN_MEMBERS} members, rules on "
+        f"{CHURN_RULED_PORTS} ports ({len(tables)} intervals)",
+        [
+            ("engine", "seconds", "speedup"),
+            ("per-member", f"{seconds['per-member']:.3f}", "1.0x"),
+            ("batched", f"{seconds['batched']:.3f}", f"{speedup:.1f}x"),
+        ],
+    )
+    write_bench_json(
+        "fabric_churn",
+        {
+            "member_count": CHURN_MEMBERS,
+            "ruled_ports": CHURN_RULED_PORTS,
+            "intervals": len(tables),
+            "flows_per_interval": len(tables[0]),
+            "members_delivered": members_delivered,
+            "per_member_seconds": seconds["per-member"],
+            "batched_seconds": seconds["batched"],
+            "speedup": speedup,
+        },
     )

@@ -9,7 +9,10 @@
   Fig. 10(a).
 
 All functions are thin, explicit wrappers around :mod:`numpy`/:mod:`scipy`
-so the experiment drivers stay readable.
+so the experiment drivers stay readable.  :mod:`scipy.stats` is imported
+inside the three functions that call it: importing it costs about half a
+second, and the experiment registry (and every spawned shard worker)
+imports this module without ever running a statistical test.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ def welch_t_test(
         raise ValueError("both samples need at least two observations")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    from scipy import stats as scipy_stats
+
     statistic, p_value = scipy_stats.ttest_ind(
         a, b, equal_var=False, alternative=alternative
     )
@@ -90,6 +94,8 @@ def mean_confidence_interval(
     mean = float(values.mean())
     if values.size == 1:
         return ConfidenceInterval(mean=mean, lower=mean, upper=mean, confidence=confidence)
+    from scipy import stats as scipy_stats
+
     sem = float(scipy_stats.sem(values))
     if sem == 0:
         return ConfidenceInterval(mean=mean, lower=mean, upper=mean, confidence=confidence)
@@ -156,6 +162,8 @@ def linear_regression(
         raise ValueError("x and y must have the same length")
     if x_values.size < 2:
         raise ValueError("at least two points are required")
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.linregress(x_values, y_values)
     return LinearRegressionResult(
         slope=float(result.slope),

@@ -210,8 +210,8 @@ class Stellar:
         # The QoS policies attribute matched/dropped/shaped bits per rule id
         # while classifying, so telemetry folds those stats in directly
         # instead of re-classifying every dropped/shaped flow.
-        for member_asn, result in report.results_by_member.items():
-            for rule_id, stats in result.rule_stats.items():
+        for member_asn, stats_by_rule in report.rule_stats.items():
+            for rule_id, stats in stats_by_rule.items():
                 self.telemetry.record_rule_interval(
                     rule_id=rule_id,
                     member_asn=member_asn,

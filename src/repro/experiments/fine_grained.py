@@ -270,14 +270,11 @@ def run_fine_grained_experiment(
         totals["delivered"] += report.delivered_bits
         totals["filtered"] += report.filtered_bits
         totals["congested"] += report.congestion_dropped_bits
-        for result in report.results_by_member.values():
-            if result.rule_stats:
-                matched_rule_ids.update(result.rule_stats)
-        late_result = report.results_by_member.get(scenario.late_pair[2])
-        if late_result is not None:
-            late_bits = late_result.rule_stats.get(late_rule_id, {}).get("dropped", 0.0)
-            key = "late_after" if late_installed["done"] else "late_before"
-            totals[key] += late_bits
+        for stats_by_rule in report.rule_stats.values():
+            matched_rule_ids.update(stats_by_rule)
+        late_stats = report.rule_stats.get(scenario.late_pair[2], {})
+        key = "late_after" if late_installed["done"] else "late_before"
+        totals[key] += late_stats.get(late_rule_id, {}).get("dropped", 0.0)
 
     harness.run(step)
 

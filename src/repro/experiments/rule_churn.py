@@ -162,8 +162,8 @@ class RuleChurnResult(JsonResultMixin):
     ops_per_data_plane_call: float
     series: AttackTimeSeries
     #: SHA-256 over every interval's ``FabricIntervalReport.to_dict()``
-    #: (canonical JSON, time order) — the parity contract between the
-    #: execution modes and the replay oracle.
+    #: as canonical JSON (``canonical_json()``, time order) — the parity
+    #: contract between the execution modes and the replay oracle.
     report_digest: str
     #: SHA-256 over the canonical applied-change log.
     request_log_digest: str
@@ -490,11 +490,7 @@ class _IntervalAccounting:
         report = self.fabric.deliver(
             table, config.interval, interval_start=interval_start
         )
-        self.digest.update(
-            json.dumps(
-                report.to_dict(), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
+        self.digest.update(report.canonical_json().encode("utf-8"))
         victim_result = report.results_by_member.get(self.victim.asn)
         if victim_result is None:
             self.series.record(time=interval_start, delivered_mbps=0.0, peer_count=0)

@@ -14,20 +14,34 @@ pass:
 1. **compile** — every connected port's QoS rules are snapshotted into a
    single columnar rule set; each :class:`CompiledRule` is tagged with its
    egress member, and per-port precedence (most-specific-first) is
-   preserved inside the global order;
-2. **classify** — one vectorized group-by over the whole interval
-   :class:`~repro.traffic.flowtable.FlowTable` (``np.unique`` on the
-   egress column), then each filtered member's slice is classified through
-   the port's :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the
-   compiled :class:`~repro.ixp.ruleindex.RuleMatchIndex` by default, the
-   per-rule pass when the port runs the fallback engine; per-rule matched
-   bits fall out of a single ``bincount``;
-3. **scatter** — the verdicts are folded back into per-port
-   :class:`~repro.ixp.qos.PortQosResult`\\ s (with deferred table views),
-   :class:`~repro.ixp.port.PortCounters`, port history and the
-   ``rule_stats`` the telemetry layer ingests.  The scatter iterates only
-   the rules that actually claimed rows, so a port with tens of thousands
-   of installed fine-grained rules costs O(claimed), not O(installed).
+   preserved inside the global order.  The plan also holds the member
+   ports in ascending-ASN order with a column of their egress capacities;
+2. **group** — one argsort of the interval's egress column groups every
+   member's rows (each in original row order), and one exact segmented sum
+   (:func:`segment_sums`) gives every member's offered bits;
+3. **classify** — only the members whose ports carry rules: each such
+   member's slice is classified through the port's
+   :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the compiled
+   :class:`~repro.ixp.ruleindex.RuleMatchIndex` by default, the per-rule
+   pass when the port runs the fallback engine; per-rule matched bits
+   fall out of a single ``bincount``;
+4. **account** — a member without rules forwards everything, so its
+   accounting is columns: egress congestion is applied column-wise
+   against the capacity column, and nothing per member is built.  A
+   member with rules gets its :class:`~repro.ixp.qos.PortQosResult`
+   from the scatter, which iterates only the rules that claimed rows, so
+   a port with tens of thousands of installed fine-grained rules costs
+   O(claimed), not O(installed).  Platform totals reduce from the
+   columns, and each port's :class:`~repro.ixp.port.PortCounters` get
+   one call;
+5. **report** — the :class:`~repro.ixp.fabric.FabricIntervalReport`
+   holds the columns.  Its ``results_by_member`` is a read-only view
+   that builds a rule-less member's result (with deferred table views)
+   only when someone looks that member up.
+
+In a DE-CIX-class interval only a few hundred of the thousands of ports carry
+a blackholing rule, so steps 3 and 4's per-member Python work scales with
+the filtered members, not the platform.
 
 Plans are cached across intervals: each plan snapshots every port's
 rule-set version counter (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`),
@@ -47,18 +61,21 @@ record-list input.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..traffic.flowtable import FlowTable
+from .accounting import ordered_sum
 from .port import MemberPort
 from .qos import (
     _DROP_CODE,
     _FORWARD_CODE,
     FilterAction,
+    PortQosPolicy,
     PortQosResult,
     QosRule,
     _group_rows,
@@ -67,6 +84,49 @@ from .qos import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
+
+#: ``ndarray.sum`` adds a run shorter than this left to right from zero;
+#: longer runs are unrolled into eight interleaved partial sums.
+_PAIRWISE_UNROLL = 8
+
+_RULES_VERSION = operator.attrgetter("qos.rules_version")
+
+
+def segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[s:s + c].sum()`` for every segment ``(s, c)``, bit for bit.
+
+    ``ndarray.sum`` is numpy's pairwise sum.  ``np.add.reduceat`` and
+    ``np.bincount(weights=)`` add in other orders, so on floats they can
+    differ in the last bit.  Segments shorter than eight values are summed
+    by one vectorised left fold over all of them at once — exactly what
+    the pairwise sum does at that length — and each longer segment calls
+    ``.sum()`` itself.  In a delivery interval almost every member is
+    sent a handful of flows, so the loop is short.
+
+    The fold pads short segments with zeros on the right.  That is exact:
+    a fold that starts from ``+0.0`` never holds ``-0.0``, and adding
+    ``+0.0`` to anything else leaves it unchanged.  Integer sums are
+    exact in any order, so integer values take one prefix sum instead.
+    """
+    if values.dtype.kind in "iu":
+        prefix = np.concatenate((np.zeros(1, dtype=values.dtype), np.cumsum(values)))
+        return prefix[starts + counts] - prefix[starts]
+    sums = np.zeros(len(starts), dtype=values.dtype)
+    short = np.flatnonzero((counts > 0) & (counts < _PAIRWISE_UNROLL))
+    if len(short):
+        short_counts = counts[short]
+        steps = np.arange(int(short_counts.max()))
+        taken = steps < short_counts[:, None]
+        rows = np.where(taken, starts[short][:, None] + steps, 0)
+        padded = np.where(taken, values[rows], 0)
+        folded = sums[short]
+        for column in padded.T:
+            folded = folded + column
+        sums[short] = folded
+    for index in np.flatnonzero(counts >= _PAIRWISE_UNROLL).tolist():
+        start = int(starts[index])
+        sums[index] = values[start : start + int(counts[index])].sum()
+    return sums
 
 
 @dataclass(frozen=True)
@@ -86,7 +146,9 @@ class FabricDeliveryPlan:
     A plan is cheap to build (one walk over the connected ports), and it
     records every port's rule-set version, so the fabric keeps reusing it
     across delivery intervals until :meth:`is_current` reports that the
-    membership or some port's rules changed.
+    membership or some port's rules changed.  A plan compiled to replace
+    a stale ``previous`` plan of the same membership adopts its port map,
+    capacity column and the compiled segments of every unchanged port.
     """
 
     def __init__(
@@ -95,46 +157,73 @@ class FabricDeliveryPlan:
         previous: "FabricDeliveryPlan | None" = None,
     ) -> None:
         self.fabric = fabric
-        # Key membership off the fabric's member registry (the same source
-        # of truth the per-member engine and the IPFIX export filter use),
-        # not off whatever ports the routers happen to carry.
-        self._ports: dict[int, MemberPort] = {
-            member.asn: fabric.port_for_member(member.asn)
-            for member in fabric.members()
-        }
-        #: The platform-level rule set, grouped per member in per-port
-        #: precedence order (members in ascending ASN order, matching the
-        #: sorted group-by the execution pass produces).
-        self._rules: list[CompiledRule] = []
+        #: The fabric's membership version the port map was built at.
+        self._membership = fabric.membership_version
+        if previous is not None and previous._membership == self._membership:
+            self._ports: dict[int, MemberPort] = previous._ports
+            self._member_asns: np.ndarray = previous._member_asns
+            self._port_list: list[MemberPort] = previous._port_list
+            self._capacity_bps: np.ndarray = previous._capacity_bps
+        else:
+            previous = None
+            # Key membership off the fabric's member registry (the same
+            # source of truth the per-member engine and the IPFIX export
+            # filter use), not off whatever ports the routers carry.
+            self._ports = {
+                member.asn: fabric.port_for_member(member.asn)
+                for member in fabric.members()
+            }
+            asns = sorted(self._ports)
+            self._member_asns = np.array(asns, dtype=np.int64)
+            self._port_list = [self._ports[asn] for asn in asns]
+            #: Each port's egress capacity, the budget its congestion
+            #: stage applies (ascending-ASN order, like the ports).
+            self._capacity_bps = np.array(
+                [port.qos.port_capacity_bps for port in self._port_list],
+                dtype=np.float64,
+            )
+        #: Rule-set version of every port at compile time (the cache key),
+        #: aligned with :attr:`_port_list`.
+        self._versions: list[int] = list(map(_RULES_VERSION, self._port_list))
+        #: :attr:`PortQosPolicy.mutations` when the versions last matched:
+        #: until any policy mutates again, the plan is current without a
+        #: per-port scan.
+        self._checked_mutations = PortQosPolicy.mutations
         #: Each filtered member's contiguous slice of :attr:`_rules`.  The
         #: :class:`CompiledRule` entries are position-independent (global
         #: index = start + port-local rank), so an unchanged port's
         #: segment is reused verbatim when patching a stale plan.
         self._segments: dict[int, list[CompiledRule]] = {}
+        changed: Iterable[int] = range(len(self._port_list))
+        if previous is not None:
+            self._segments = dict(previous._segments)
+            changed = np.flatnonzero(
+                np.array(self._versions) != np.array(previous._versions)
+            ).tolist()
+        for position in changed:
+            asn = int(self._member_asns[position])
+            segment = [
+                CompiledRule(member_asn=asn, rule=rule, port_rule_index=rank)
+                for rank, rule in enumerate(self._port_list[position].qos.sorted_rules())
+            ]
+            if segment:
+                self._segments[asn] = segment
+            else:
+                self._segments.pop(asn, None)
+        #: The platform-level rule set, grouped per member in per-port
+        #: precedence order (members in ascending ASN order, matching the
+        #: sorted group-by the execution pass produces).
+        self._rules: list[CompiledRule] = []
         #: First global index of each filtered member's contiguous rule
         #: block (global index = start + port-local rank).
         self._member_start: dict[int, int] = {}
-        #: Rule-set version of every port at compile time (the cache key).
-        self._port_versions: dict[int, int] = {}
-        for asn in sorted(self._ports):
-            qos = self._ports[asn].qos
-            version = qos.rules_version
-            self._port_versions[asn] = version
-            if previous is not None and previous._port_versions.get(asn) == version:
-                # Unchanged port: adopt the previous plan's compiled
-                # segment (possibly absent — a rule-less port compiles to
-                # no segment on both sides) instead of rebuilding it.
-                segment = previous._segments.get(asn, [])
-            else:
-                segment = [
-                    CompiledRule(member_asn=asn, rule=rule, port_rule_index=position)
-                    for position, rule in enumerate(qos.sorted_rules())
-                ]
-            if not segment:
-                continue
+        for asn in sorted(self._segments):
             self._member_start[asn] = len(self._rules)
-            self._segments[asn] = segment
-            self._rules.extend(segment)
+            self._rules.extend(self._segments[asn])
+        #: Whether each port (ascending-ASN order) carries rules.
+        self._has_rules = np.isin(
+            self._member_asns, np.array(list(self._segments), dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -153,17 +242,21 @@ class FabricDeliveryPlan:
     def is_current(self) -> bool:
         """True while the plan still matches the fabric's configuration.
 
-        Checked once per delivery interval: the member set must be
-        unchanged and every port's rule-set version must equal the
-        compile-time snapshot.  O(members) per check, versus an
-        O(total rules) recompile.
+        Checked once per delivery interval: no member may have connected
+        since the compile, and every port's rule-set version must equal
+        the compile-time snapshot.  O(members) per check, versus an
+        O(total rules) recompile — and O(1) while no policy in the
+        process has mutated since the last check.
         """
-        if self.fabric.member_asns != set(self._ports):
+        if self.fabric.membership_version != self._membership:
             return False
-        return all(
-            port.qos.rules_version == self._port_versions[asn]
-            for asn, port in self._ports.items()
-        )
+        mutations = PortQosPolicy.mutations
+        if mutations == self._checked_mutations:
+            return True
+        if list(map(_RULES_VERSION, self._port_list)) != self._versions:
+            return False
+        self._checked_mutations = mutations
+        return True
 
     # ------------------------------------------------------------------
     # Execution
@@ -172,7 +265,7 @@ class FabricDeliveryPlan:
         self, table: FlowTable, interval: float, interval_start: float = 0.0
     ) -> "FabricIntervalReport":
         """Carry one interval across the platform in a single batched pass."""
-        from .fabric import FabricIntervalReport
+        from .fabric import MEMBER_REPORT_FIELDS, FabricIntervalReport
 
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -184,71 +277,135 @@ class FabricDeliveryPlan:
                 "delivery plan is stale (rules or membership changed since "
                 "compile); rebuild via SwitchingFabric.current_delivery_plan()"
             )
-        report = FabricIntervalReport(interval_start=interval_start, interval=interval)
-        n = len(table)
-        if n == 0:
-            return report
+        if len(table) == 0:
+            return FabricIntervalReport(interval_start=interval_start, interval=interval)
 
-        egress = table.egress_asn
         bits = table.bits
+        order, member_asns, positions, starts, counts = self._group_by_member(table)
+        offered = segment_sums(bits[order], starts, counts).astype(np.float64)
+        # Columns of PortQosResult's accounting; a port without rules
+        # forwards its whole offer.  The column-wise congestion below is
+        # PortQosPolicy.apply_congestion, operation for operation (its
+        # shaped term is zero here, so only forwarded bits scale).
+        forwarded = offered.copy()
+        dropped = np.zeros(len(offered))
+        shaped_passed = np.zeros(len(offered))
+        shaped_dropped = np.zeros(len(offered))
+        congestion = np.zeros(len(offered))
+        capacity_bps = self._capacity_bps[positions]
+        capacity_bits = capacity_bps * interval
+        delivered = forwarded + shaped_passed
+        over = delivered > capacity_bits
+        congestion[over] = delivered[over] - capacity_bits[over]
+        forwarded[over] *= capacity_bits[over] / delivered[over]
 
-        # One platform-wide group-by: member ASNs in ascending order, each
-        # group's rows as ascending original-order indices (the stable
-        # argsort preserves intra-member row order, which keeps the
-        # scattered tables identical to the per-member ``select`` path).
-        unique_asns, inverse = np.unique(egress, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(np.bincount(inverse, minlength=len(unique_asns)))[:-1]
-        rows_per_group = np.split(order, boundaries)
-
-        assigned, per_rule_bits = self._classify(
-            table, bits, unique_asns, rows_per_group
-        )
-
-        # Platform totals are collected per member and reduced once after
-        # the loop; sum() adds left-to-right in ascending-ASN group order,
-        # exactly the sequence the old running `+=` produced, so report
-        # payloads stay bit-for-bit identical (RPL006: no float `+=` in
-        # loops).
-        offered_terms: list[float] = []
-        delivered_terms: list[float] = []
-        filtered_terms: list[float] = []
-        congestion_terms: list[float] = []
-        for group_index, asn in enumerate(unique_asns.tolist()):
-            port = self._ports.get(asn)
-            if port is None:
-                # Unknown egress member: the flow never entered the IXP.
-                continue
-            rows = rows_per_group[group_index]
-            offered = float(bits[rows].sum())
-            if asn not in self._segments:
-                result = self._passthrough_result(table, rows, offered, port, interval)
-            else:
+        results: dict[int, PortQosResult] = {}
+        has_rules = self._has_rules[positions]
+        filtered = np.flatnonzero(has_rules).tolist()
+        if filtered:
+            group_rows = {
+                index: order[starts[index] : starts[index] + counts[index]]
+                for index in filtered
+            }
+            assigned, per_rule_bits = self._classify(
+                table, bits, member_asns, group_rows
+            )
+            for index, rows in group_rows.items():
+                asn = int(member_asns[index])
+                port = self._port_list[positions[index]]
                 result = self._filtered_result(
                     table, rows, asn, assigned, bits, per_rule_bits, port, interval
                 )
-            port.counters.update(offered, result)
+                port.counters.update(float(offered[index]), result)
+                if port.retain_history:
+                    port.history.append((interval_start, result))
+                results[asn] = result
+                forwarded[index] = result.forwarded_bits
+                dropped[index] = result.dropped_bits
+                shaped_passed[index] = result.shaped_passed_bits
+                shaped_dropped[index] = result.shaped_dropped_bits
+                congestion[index] = result.congestion_dropped_bits
+        delivered = forwarded + shaped_passed
+
+        view = _MemberResults(
+            member_asns, forwarded, congestion, results, table, order, starts, counts
+        )
+        # A rule-less port's dropped and shaped counters would only add
+        # +0.0, which leaves them unchanged.
+        rule_less = np.flatnonzero(~has_rules)
+        for position, asn, offer, carried, congested in zip(
+            positions[rule_less].tolist(),
+            member_asns[rule_less].tolist(),
+            offered[rule_less].tolist(),
+            delivered[rule_less].tolist(),
+            congestion[rule_less].tolist(),
+        ):
+            port = self._port_list[position]
+            port.counters.add(offer, carried, 0.0, 0.0, 0.0, congested)
             if port.retain_history:
-                port.history.append((interval_start, result))
-            report.results_by_member[asn] = result
-            offered_terms.append(offered)
-            delivered_terms.append(result.delivered_bits)
-            filtered_terms.append(result.dropped_bits + result.shaped_dropped_bits)
-            congestion_terms.append(result.congestion_dropped_bits)
-        report.offered_bits = float(sum(offered_terms))
-        report.delivered_bits = float(sum(delivered_terms))
-        report.filtered_bits = float(sum(filtered_terms))
-        report.congestion_dropped_bits = float(sum(congestion_terms))
-        return report
+                port.history.append((interval_start, view[asn]))
+
+        # Platform totals: one left fold per column in ascending-ASN
+        # order, the sequence the old per-member running `+=` produced.
+        return FabricIntervalReport(
+            interval_start=interval_start,
+            interval=interval,
+            offered_bits=ordered_sum(offered),
+            delivered_bits=ordered_sum(delivered),
+            filtered_bits=ordered_sum(dropped + shaped_dropped),
+            congestion_dropped_bits=ordered_sum(congestion),
+            member_asns=member_asns,
+            member_fields=dict(
+                zip(
+                    MEMBER_REPORT_FIELDS,
+                    (forwarded, dropped, shaped_passed, shaped_dropped, congestion),
+                )
+            ),
+            rule_stats={
+                asn: result.rule_stats
+                for asn, result in results.items()
+                if result.rule_stats
+            },
+            port_capacity_bps=capacity_bps,
+            results_by_member=view,
+        )
+
+    # ------------------------------------------------------------------
+    def _group_by_member(
+        self, table: FlowTable
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The interval's rows grouped by connected egress member.
+
+        Returns ``(order, member_asns, positions, starts, counts)``:
+        member ``member_asns[i]`` (ascending; the plan's port
+        ``positions[i]``) owns rows ``order[starts[i]:starts[i] + counts[i]]``,
+        in original row order, which keeps the deferred tables identical to
+        the per-member ``select`` path.  Rows whose egress member is not
+        connected never entered the IXP and belong to no group.
+        """
+        row_count = len(table)
+        # The sort key (egress, row) is unique, so the quick argsort
+        # orders exactly as a stable one, at a third of its cost.
+        order = np.argsort(
+            table.egress_asn.astype(np.int64) * row_count + np.arange(row_count)
+        )
+        egress = table.egress_asn[order]
+        starts = np.flatnonzero(np.concatenate(([True], egress[1:] != egress[:-1])))
+        counts = np.diff(np.append(starts, row_count))
+        group_asns = egress[starts].astype(np.int64)
+        positions = np.searchsorted(self._member_asns, group_asns)
+        known = positions < len(self._member_asns)
+        known[known] = self._member_asns[positions[known]] == group_asns[known]
+        return order, group_asns[known], positions[known], starts[known], counts[known]
 
     # ------------------------------------------------------------------
     def _classify(
         self,
         table: FlowTable,
         bits: np.ndarray,
-        unique_asns: np.ndarray,
-        rows_per_group: Sequence[np.ndarray],
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        member_asns: np.ndarray,
+        group_rows: Mapping[int, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Assign each row its claiming rule (global index, or -1 = forward).
 
         Rules of different members are disjoint by the egress column, so
@@ -260,17 +417,10 @@ class FabricDeliveryPlan:
         table; local ranks map to global rule indices by the member's
         contiguous block offset.
         """
-        if not any(
-            asn in self._segments for asn in unique_asns.tolist()
-        ):
-            return None, None
         assigned = np.full(len(table), -1, dtype=np.int64)
-        for group_index, asn in enumerate(unique_asns.tolist()):
-            if asn not in self._segments:
-                continue
-            rows = rows_per_group[group_index]
-            member_table = table.select(rows)
-            ranks = self._ports[asn].qos.assign_table(member_table)
+        for index, rows in group_rows.items():
+            asn = int(member_asns[index])
+            ranks = self._ports[asn].qos.assign_table(table.select(rows))
             matched = ranks >= 0
             if matched.any():
                 assigned[rows[matched]] = self._member_start[asn] + ranks[matched]
@@ -281,30 +431,6 @@ class FabricDeliveryPlan:
         return assigned, per_rule_bits
 
     # ------------------------------------------------------------------
-    def _passthrough_result(
-        self,
-        table: FlowTable,
-        rows: np.ndarray,
-        offered: float,
-        port: MemberPort,
-        interval: float,
-    ) -> PortQosResult:
-        """A port with no rules: everything forwards (then congestion).
-
-        The dominant case at platform scale; the columnar views are
-        deferred so an 800-member interval builds zero sub-tables unless a
-        consumer actually reads one.
-        """
-        result = PortQosResult(
-            forwarded_bits=offered,
-            rule_stats={},
-            table_source=lambda: (
-                table.select(rows), FlowTable.empty(), FlowTable.empty(),
-            ),
-        )
-        port.qos.apply_congestion(result, interval)
-        return result
-
     def _filtered_result(
         self,
         table: FlowTable,
@@ -360,7 +486,7 @@ class FabricDeliveryPlan:
 
         rows_by_rank = _shape_rows_by_rank(local, row_actions)
         shaped_tables: list[FlowTable] = []
-        # Per-shaper terms, reduced once after the loop in the same order
+        # Per-shaper terms, folded once after the loop in the same order
         # the old running `+=` added them (RPL006) — bit-for-bit identical.
         passed_terms: list[float] = []
         dropped_terms: list[float] = []
@@ -385,8 +511,8 @@ class FabricDeliveryPlan:
                 stats["shaped"] += rule_bits
             passed_terms.append(passed_bits)
             dropped_terms.append(dropped_bits)
-        shaped_passed = float(sum(passed_terms))
-        shaped_dropped = float(sum(dropped_terms))
+        shaped_passed = ordered_sum(passed_terms)
+        shaped_dropped = ordered_sum(dropped_terms)
 
         forward_rows = rows[forward_mask]
         drop_rows = rows[drop_mask]
@@ -405,3 +531,74 @@ class FabricDeliveryPlan:
         )
         qos.apply_congestion(result, interval)
         return result
+
+
+class _MemberResults(Mapping[int, PortQosResult]):
+    """The read-only ``results_by_member`` of a batched interval report.
+
+    A member with rules maps to the result the scatter built.  Any other
+    member's :class:`~repro.ixp.qos.PortQosResult` is built from the
+    report's columns when it is looked up, with its table views still
+    deferred, so iterating the ASNs or taking ``len`` builds nothing.
+    The view holds the columns and the interval's table, never the
+    report, so the two form no reference cycle.
+    """
+
+    __slots__ = ("_asns", "_forwarded", "_congestion", "_built", "_table", "_order",
+                 "_starts", "_counts")
+
+    def __init__(
+        self,
+        member_asns: np.ndarray,
+        forwarded_bits: np.ndarray,
+        congestion_dropped_bits: np.ndarray,
+        built: dict[int, PortQosResult],
+        table: FlowTable,
+        order: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        self._asns = member_asns
+        self._forwarded = forwarded_bits
+        self._congestion = congestion_dropped_bits
+        self._built = built
+        self._table = table
+        self._order = order
+        self._starts = starts
+        self._counts = counts
+
+    def _position(self, asn: object) -> int:
+        """Row of ``asn`` in the report's columns, or -1."""
+        if not isinstance(asn, (int, np.integer)):
+            return -1
+        position = int(np.searchsorted(self._asns, asn))
+        if position < len(self._asns) and self._asns[position] == asn:
+            return position
+        return -1
+
+    def __getitem__(self, asn: int) -> PortQosResult:
+        result = self._built.get(asn)
+        if result is not None:
+            return result
+        position = self._position(asn)
+        if position < 0:
+            raise KeyError(asn)
+        table = self._table
+        start = int(self._starts[position])
+        rows = self._order[start : start + int(self._counts[position])]
+        return PortQosResult(
+            forwarded_bits=float(self._forwarded[position]),
+            congestion_dropped_bits=float(self._congestion[position]),
+            table_source=lambda: (
+                table.select(rows), FlowTable.empty(), FlowTable.empty(),
+            ),
+        )
+
+    def __contains__(self, asn: object) -> bool:
+        return self._position(asn) >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._asns.tolist())
+
+    def __len__(self) -> int:
+        return len(self._asns)

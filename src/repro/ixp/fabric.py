@@ -11,119 +11,26 @@ spare capacity to carry attack traffic to the egress port (§4.5).
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Any, Optional, Union
 
 import numpy as np
 
 from ..traffic.flow import FlowRecord
 from ..traffic.flowtable import FlowTable
 from ..traffic.ipfix import IpfixCollector, IpfixExporter
+from .accounting import ordered_sum
 from .delivery import FabricDeliveryPlan
 from .edge_router import EdgeRouter, PortNotFoundError
 from .hardware_profiles import HardwareProfile
 from .member import IxpMember
 from .port import MemberPort
 from .qos import PortQosResult
-
-
-@dataclass
-class FabricIntervalReport:
-    """Platform-level outcome of one delivery interval."""
-
-    interval_start: float
-    interval: float
-    offered_bits: float = 0.0
-    delivered_bits: float = 0.0
-    filtered_bits: float = 0.0
-    congestion_dropped_bits: float = 0.0
-    results_by_member: dict[int, PortQosResult] = field(default_factory=dict)
-
-    @property
-    def platform_load_bps(self) -> float:
-        """Traffic carried across the platform during the interval (bps)."""
-        if self.interval <= 0:
-            return 0.0
-        return self.offered_bits / self.interval
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-serializable view of the interval outcome.
-
-        Every number the delivery engines *compute* is included — platform
-        totals plus each member's bit accounting and per-rule stats — so
-        equality of two reports' ``to_dict()`` is the parity contract
-        between the ``batched`` and ``per-member`` engines (the fuzz suite
-        asserts it for arbitrary generated topologies and rule sets).
-        """
-        return {
-            "interval_start": self.interval_start,
-            "interval": self.interval,
-            "offered_bits": self.offered_bits,
-            "delivered_bits": self.delivered_bits,
-            "filtered_bits": self.filtered_bits,
-            "congestion_dropped_bits": self.congestion_dropped_bits,
-            "members": {
-                str(asn): {
-                    "forwarded_bits": result.forwarded_bits,
-                    "dropped_bits": result.dropped_bits,
-                    "shaped_passed_bits": result.shaped_passed_bits,
-                    "shaped_dropped_bits": result.shaped_dropped_bits,
-                    "congestion_dropped_bits": result.congestion_dropped_bits,
-                    "rule_stats": {
-                        rule_id: dict(stats)
-                        for rule_id, stats in sorted(result.rule_stats.items())
-                    },
-                }
-                for asn, result in sorted(self.results_by_member.items())
-            },
-        }
-
-    def to_columns(self) -> dict:
-        """Columnar view of the interval outcome, for the shard merge.
-
-        Same numbers as :meth:`to_dict`, but per-member accounting is laid
-        out as parallel numpy arrays in ascending-ASN order, so
-        :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
-        array concatenation + one argsort instead of per-member dict
-        copies.  Sparse ``rule_stats`` stay a nested dict (only members
-        with claimed rules carry entries).
-        :func:`~repro.ixp.shard.columns_to_report_dict` converts back to
-        the :meth:`to_dict` shape bit-for-bit (float64 round-trips
-        exactly).
-        """
-        ordered = sorted(self.results_by_member.items())
-        return {
-            "interval_start": self.interval_start,
-            "interval": self.interval,
-            "totals": {
-                "offered_bits": self.offered_bits,
-                "delivered_bits": self.delivered_bits,
-                "filtered_bits": self.filtered_bits,
-                "congestion_dropped_bits": self.congestion_dropped_bits,
-            },
-            "member_asns": np.fromiter(
-                (asn for asn, _ in ordered), dtype=np.int64, count=len(ordered)
-            ),
-            "member_fields": {
-                name: np.fromiter(
-                    (getattr(result, name) for _, result in ordered),
-                    dtype=np.float64,
-                    count=len(ordered),
-                )
-                for name in MEMBER_REPORT_FIELDS
-            },
-            "rule_stats": {
-                str(asn): {
-                    rule_id: dict(stats)
-                    for rule_id, stats in sorted(result.rule_stats.items())
-                }
-                for asn, result in ordered
-                if result.rule_stats
-            },
-        }
-
+from .shard import columns_to_report_dict
 
 #: Per-member bit-accounting fields carried by the columnar report view,
 #: in the order :meth:`FabricIntervalReport.to_dict` lists them.
@@ -134,6 +41,210 @@ MEMBER_REPORT_FIELDS = (
     "shaped_dropped_bits",
     "congestion_dropped_bits",
 )
+
+#: A member's entry in :meth:`FabricIntervalReport.canonical_json`, in
+#: sorted-key order: the text before each field's value.
+_MEMBER_JSON = (
+    ('":{"congestion_dropped_bits":', "congestion_dropped_bits"),
+    (',"dropped_bits":', "dropped_bits"),
+    (',"forwarded_bits":', "forwarded_bits"),
+    (',"rule_stats":', "rule_stats"),
+    (',"shaped_dropped_bits":', "shaped_dropped_bits"),
+    (',"shaped_passed_bits":', "shaped_passed_bits"),
+)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """How :func:`json.dumps` writes each float of ``values``."""
+    texts = ["0.0"] * len(values)
+    # Zeros need no repr call; -0.0 compares equal to zero but keeps its sign.
+    written = np.flatnonzero((values != 0.0) | np.signbit(values))
+    for index, text in zip(written.tolist(), map(float.__repr__, values[written].tolist())):
+        texts[index] = text
+    for index in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[index] = json.dumps(float(values[index]))
+    return texts
+
+
+def _no_members() -> dict[str, np.ndarray]:
+    return {name: np.zeros(0) for name in MEMBER_REPORT_FIELDS}
+
+
+@dataclass(eq=False)
+class FabricIntervalReport:
+    """Platform-level outcome of one delivery interval, held as columns.
+
+    Per-member accounting is one float64 array per
+    :data:`MEMBER_REPORT_FIELDS` name, aligned with the ascending
+    :attr:`member_asns`; :attr:`rule_stats` is sparse (only members whose
+    rules claimed traffic have an entry).  :attr:`results_by_member` is a
+    read-only mapping of member ASN to
+    :class:`~repro.ixp.qos.PortQosResult`: the batched engine builds a
+    rule-less member's result only when that member is looked up, so
+    consumers that scan every member should read the columns (or
+    :meth:`port_utilisation`) instead.
+    """
+
+    interval_start: float
+    interval: float
+    offered_bits: float = 0.0
+    delivered_bits: float = 0.0
+    filtered_bits: float = 0.0
+    congestion_dropped_bits: float = 0.0
+    member_asns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    member_fields: dict[str, np.ndarray] = field(default_factory=_no_members)
+    #: ``{member ASN: {rule id: {"matched", "dropped", "shaped"}}}``.
+    rule_stats: dict[int, dict[str, dict[str, float]]] = field(default_factory=dict)
+    #: Each member's egress port capacity, aligned with ``member_asns``.
+    port_capacity_bps: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    results_by_member: Mapping[int, PortQosResult] = field(
+        default_factory=lambda: MappingProxyType({})
+    )
+
+    @classmethod
+    def from_results(
+        cls,
+        interval_start: float,
+        interval: float,
+        results: Mapping[int, PortQosResult],
+        port_capacity_bps: Mapping[int, float],
+        **totals: float,
+    ) -> "FabricIntervalReport":
+        """The report of the per-member engine: its eager results, each
+        port's capacity, and the platform ``totals`` (``offered_bits=`` …)."""
+        ordered = sorted(results.items())
+        count = len(ordered)
+        return cls(
+            interval_start=interval_start,
+            interval=interval,
+            **totals,
+            member_asns=np.fromiter(
+                (asn for asn, _ in ordered), dtype=np.int64, count=count
+            ),
+            member_fields={
+                name: np.fromiter(
+                    (getattr(result, name) for _, result in ordered),
+                    dtype=np.float64,
+                    count=count,
+                )
+                for name in MEMBER_REPORT_FIELDS
+            },
+            rule_stats={
+                asn: result.rule_stats for asn, result in ordered if result.rule_stats
+            },
+            port_capacity_bps=np.fromiter(
+                (port_capacity_bps[asn] for asn, _ in ordered),
+                dtype=np.float64,
+                count=count,
+            ),
+            results_by_member=MappingProxyType(dict(ordered)),
+        )
+
+    @property
+    def platform_load_bps(self) -> float:
+        """Traffic carried across the platform during the interval (bps)."""
+        if self.interval <= 0:
+            return 0.0
+        return self.offered_bits / self.interval
+
+    def port_utilisation(self) -> np.ndarray:
+        """Every member port's egress demand relative to its capacity.
+
+        :meth:`~repro.ixp.port.MemberPort.utilisation`, column-wise and
+        aligned with :attr:`member_asns`: delivered plus congestion-dropped
+        bits over the interval's capacity budget (can exceed 1).
+        """
+        fields = self.member_fields
+        demand_bits = (
+            fields["forwarded_bits"]
+            + fields["shaped_passed_bits"]
+            + fields["congestion_dropped_bits"]
+        )
+        return demand_bits / (self.port_capacity_bps * self.interval)
+
+    def to_dict(self) -> dict[str, Any]:
+        """Canonical JSON-serializable view of the interval outcome.
+
+        Every number the delivery engines *compute* is included — platform
+        totals plus each member's bit accounting and per-rule stats — so
+        equality of two reports' ``to_dict()`` is the parity contract
+        between the ``batched`` and ``per-member`` engines (the fuzz suite
+        asserts it for arbitrary generated topologies and rule sets).
+        """
+        return columns_to_report_dict(self.to_columns())
+
+    def to_columns(self) -> dict[str, Any]:
+        """Columnar view of the interval outcome, for the shard merge.
+
+        Same numbers as :meth:`to_dict`, but per-member accounting is laid
+        out as parallel numpy arrays in ascending-ASN order (the report's
+        own arrays, not copies), so
+        :func:`~repro.ixp.shard.merge_interval_columns` reduces shards with
+        array concatenation + one argsort instead of per-member dict
+        copies.  Sparse ``rule_stats`` stay a nested dict keyed by the
+        ASN's string.  :func:`~repro.ixp.shard.columns_to_report_dict`
+        converts back to the :meth:`to_dict` shape bit-for-bit (float64
+        round-trips exactly).
+        """
+        return {
+            "interval_start": self.interval_start,
+            "interval": self.interval,
+            "totals": {
+                "offered_bits": self.offered_bits,
+                "delivered_bits": self.delivered_bits,
+                "filtered_bits": self.filtered_bits,
+                "congestion_dropped_bits": self.congestion_dropped_bits,
+            },
+            "member_asns": self.member_asns,
+            "member_fields": dict(self.member_fields),
+            "rule_stats": {
+                str(asn): {rule_id: dict(stats) for rule_id, stats in sorted(by_rule.items())}
+                for asn, by_rule in self.rule_stats.items()
+            },
+        }
+
+    def canonical_json(self) -> str:
+        """The interval's digest text, written straight from the columns.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))`` without building a dict per member:
+        member keys sort as strings, every float is ``float.__repr__``
+        (json's ``NaN``/``Infinity`` spellings for the non-finite ones),
+        a zero entry is ``0.0`` without a repr call, and the sparse
+        ``rule_stats`` go through :func:`json.dumps`.
+        """
+        keys = [str(asn) for asn in self.member_asns.tolist()]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[index] for index in order]
+        texts = {
+            name: _json_floats(values[order]) for name, values in self.member_fields.items()
+        }
+        stats_texts = {
+            str(asn): json.dumps(by_rule, sort_keys=True, separators=(",", ":"))
+            for asn, by_rule in self.rule_stats.items()
+        }
+        texts["rule_stats"] = [stats_texts.get(key, "{}") for key in keys]
+        # Member entries are laid out in one flat list by strided slice
+        # assignment — key, then (prefix, value) per field, then the
+        # separator — with no per-member formatting call.
+        stride = 2 * len(_MEMBER_JSON) + 2
+        parts = [""] * (stride * len(keys))
+        parts[0::stride] = keys
+        for slot, (prefix, name) in enumerate(_MEMBER_JSON):
+            parts[2 * slot + 1 :: stride] = [prefix] * len(keys)
+            parts[2 * slot + 2 :: stride] = texts[name]
+        parts[stride - 1 :: stride] = ['},"'] * len(keys)
+        members = '{"' + "".join(parts[:-1]) + "}}" if keys else "{}"
+        dumps = json.dumps
+        return (
+            f'{{"congestion_dropped_bits":{dumps(self.congestion_dropped_bits)}'
+            f',"delivered_bits":{dumps(self.delivered_bits)}'
+            f',"filtered_bits":{dumps(self.filtered_bits)}'
+            f',"interval":{dumps(self.interval)}'
+            f',"interval_start":{dumps(self.interval_start)}'
+            f',"members":{members}'
+            f',"offered_bits":{dumps(self.offered_bits)}}}'
+        )
 
 
 #: Delivery engines :meth:`SwitchingFabric.deliver` can run.
@@ -191,6 +302,7 @@ class SwitchingFabric:
         )
         self.reports: list[FabricIntervalReport] = []
         self._plan_cache: Optional[FabricDeliveryPlan] = None
+        self._connects = 0
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -216,6 +328,7 @@ class SwitchingFabric:
         port = router.connect_member(member)
         port.retain_history = self.retain_history
         self._members[member.asn] = member
+        self._connects += 1
         self._router_for_member[member.asn] = router.name
         return port
 
@@ -228,6 +341,15 @@ class SwitchingFabric:
     @property
     def member_asns(self) -> set[int]:
         return set(self._members)
+
+    @property
+    def membership_version(self) -> int:
+        """Counter bumped by every :meth:`connect_member` call.
+
+        A delivery plan keys its port map off it, so checking that the
+        membership is unchanged costs one comparison per interval.
+        """
+        return self._connects
 
     def member(self, asn: int) -> IxpMember:
         try:
@@ -341,7 +463,7 @@ class SwitchingFabric:
                 f"unknown delivery engine {engine!r}; known: {', '.join(DELIVERY_ENGINES)}"
             )
         if isinstance(flows, FlowTable):
-            export_flows: Union[list[FlowRecord], FlowTable] = self._known_egress(flows)
+            export_flows: Union[list[FlowRecord], FlowTable] = flows
             if engine == "batched":
                 report = self.current_delivery_plan().execute(
                     flows, interval, interval_start
@@ -361,6 +483,8 @@ class SwitchingFabric:
             report = self._deliver_per_member(dict(grouped), interval, interval_start)
 
         if self.collect_ipfix:
+            if isinstance(export_flows, FlowTable):
+                export_flows = self._known_egress(export_flows)
             self.collector.receive(
                 self._exporter.export(export_flows, export_time=interval_start)
             )
@@ -396,10 +520,11 @@ class SwitchingFabric:
         interval_start: float,
     ) -> FabricIntervalReport:
         """The fallback engine: one ``qos.apply`` per egress member."""
-        report = FabricIntervalReport(interval_start=interval_start, interval=interval)
-        # Platform totals are collected per member and reduced once after
-        # the loop; sum() adds left-to-right in member order, exactly the
-        # sequence the old running `+=` produced, so report payloads stay
+        results: dict[int, PortQosResult] = {}
+        capacities: dict[int, float] = {}
+        # Platform totals are collected per member and folded once after
+        # the loop, left to right in member order — exactly the sequence
+        # the old running `+=` produced, so report payloads stay
         # bit-for-bit identical (RPL006: no float `+=` in loops).
         offered_terms: list[float] = []
         delivered_terms: list[float] = []
@@ -410,7 +535,8 @@ class SwitchingFabric:
             result = router.deliver(
                 {member_asn: member_flows}, interval, interval_start
             )[member_asn]
-            report.results_by_member[member_asn] = result
+            results[member_asn] = result
+            capacities[member_asn] = router.port_for(member_asn).qos.port_capacity_bps
             if isinstance(member_flows, FlowTable):
                 offered = float(member_flows.total_bits)
             else:
@@ -419,11 +545,16 @@ class SwitchingFabric:
             delivered_terms.append(result.delivered_bits)
             filtered_terms.append(result.dropped_bits + result.shaped_dropped_bits)
             congestion_terms.append(result.congestion_dropped_bits)
-        report.offered_bits = float(sum(offered_terms))
-        report.delivered_bits = float(sum(delivered_terms))
-        report.filtered_bits = float(sum(filtered_terms))
-        report.congestion_dropped_bits = float(sum(congestion_terms))
-        return report
+        return FabricIntervalReport.from_results(
+            interval_start,
+            interval,
+            results,
+            capacities,
+            offered_bits=ordered_sum(offered_terms),
+            delivered_bits=ordered_sum(delivered_terms),
+            filtered_bits=ordered_sum(filtered_terms),
+            congestion_dropped_bits=ordered_sum(congestion_terms),
+        )
 
     def platform_overloaded(self, report: FabricIntervalReport) -> bool:
         """True if the interval's load exceeded the platform capacity."""

@@ -30,12 +30,35 @@ class PortCounters:
     congestion_dropped_bits: float = 0.0
 
     def update(self, offered_bits: float, result: PortQosResult) -> None:
+        self.add(
+            offered_bits,
+            result.delivered_bits,
+            result.dropped_bits,
+            result.shaped_passed_bits,
+            result.shaped_dropped_bits,
+            result.congestion_dropped_bits,
+        )
+
+    def add(
+        self,
+        offered_bits: float,
+        delivered_bits: float,
+        dropped_bits: float,
+        shaped_passed_bits: float,
+        shaped_dropped_bits: float,
+        congestion_dropped_bits: float,
+    ) -> None:
+        """Count one interval's accounting, given as plain floats.
+
+        The batched delivery engine keeps an interval's accounting in
+        columns and feeds each port its row through this one call.
+        """
         self.offered_bits += offered_bits
-        self.delivered_bits += result.delivered_bits
-        self.dropped_bits += result.dropped_bits
-        self.shaped_passed_bits += result.shaped_passed_bits
-        self.shaped_dropped_bits += result.shaped_dropped_bits
-        self.congestion_dropped_bits += result.congestion_dropped_bits
+        self.delivered_bits += delivered_bits
+        self.dropped_bits += dropped_bits
+        self.shaped_passed_bits += shaped_passed_bits
+        self.shaped_dropped_bits += shaped_dropped_bits
+        self.congestion_dropped_bits += congestion_dropped_bits
 
     @property
     def total_filtered_bits(self) -> float:

@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from ..traffic.flowtable import (
     prefix_mask,
 )
 from ..traffic.packet import IpProtocol
+from .accounting import ordered_sum
 from .queues import RateLimiter
 from .ruleindex import RuleMatchIndex
 
@@ -369,6 +370,13 @@ class PortQosPolicy:
     fresh index.
     """
 
+    #: Rule-set mutations of every policy in the process, counted
+    #: together: a delivery plan that has seen none since it last compared
+    #: its ports' versions skips the per-port scan.  Sharing it across
+    #: fabrics is safe — another fabric's mutation costs a plan one scan,
+    #: never a stale answer — and it only ever grows.
+    mutations: ClassVar[int] = 0
+
     def __init__(
         self, port_capacity_bps: float, classification_engine: str = "indexed"
     ) -> None:
@@ -397,6 +405,7 @@ class PortQosPolicy:
     # ------------------------------------------------------------------
     def _bump(self) -> None:
         self._version += 1
+        PortQosPolicy.mutations += 1
         self._action_codes = None
 
     def _resort(self) -> None:
@@ -728,10 +737,10 @@ class PortQosPolicy:
 
         rows_by_rank = _shape_rows_by_rank(assigned, row_actions)
         shaped_tables: list[FlowTable] = []
-        # Collected per-group and reduced once after the loop: a single
-        # left-to-right sum() is bit-for-bit the running += it replaces,
-        # and keeps the accumulation order explicit (see RPL006 in
-        # docs/STATIC_ANALYSIS.md).
+        # Collected per-group and folded once after the loop: a single
+        # left-to-right ordered_sum() is bit-for-bit the running += it
+        # replaces, and keeps the accumulation order explicit (see RPL006
+        # in docs/STATIC_ANALYSIS.md).
         passed_terms: list[float] = []
         dropped_terms: list[float] = []
         for key, rule_indices in shape_groups.items():
@@ -755,8 +764,8 @@ class PortQosPolicy:
             passed_terms.append(passed_bits)
             dropped_terms.append(dropped_bits)
 
-        shaped_passed = float(sum(passed_terms))
-        shaped_dropped = float(sum(dropped_terms))
+        shaped_passed = ordered_sum(passed_terms)
+        shaped_dropped = ordered_sum(dropped_terms)
         result = PortQosResult(
             forwarded_table=table.select(forward_mask),
             dropped_table=table.select(drop_mask),

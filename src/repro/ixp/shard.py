@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .accounting import ordered_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fabric import SwitchingFabric
     from .member import IxpMember
@@ -270,7 +272,7 @@ def merge_interval_columns(payloads: Sequence[Mapping[str, Any]]) -> dict[str, A
         ):
             raise ValueError("shard reports describe different intervals")
     totals = {
-        key: float(sum([payload["totals"][key] for payload in payloads]))
+        key: ordered_sum(payload["totals"][key] for payload in payloads)
         for key in _TOTAL_KEYS
     }
     asns = np.concatenate([payload["member_asns"] for payload in payloads])

@@ -10,8 +10,11 @@ between code paths that iterate in different orders) and the structural
 one (the loop itself is usually a sign the accounting should have been a
 single vectorized reduction).  The sanctioned shapes are integer
 accumulation, a NumPy reduction over the whole column, or collecting
-per-iteration terms and reducing once (``sum``/``math.fsum``) after the
-loop — which also makes the summation order explicit and auditable.
+per-iteration terms and folding them once after the loop with
+:func:`repro.ixp.accounting.ordered_sum` — which makes the summation
+order explicit and auditable, and (unlike the builtin ``sum``, which
+compensates rounding from Python 3.12 on) gives the same bits on every
+interpreter.
 Per-record compatibility shims (functions with ``record`` in the name)
 are the sanctioned slow path and allow-listed.
 """
@@ -77,8 +80,9 @@ class FloatAccountingRule(LintRule):
                 self.rule_id,
                 node,
                 f"float `{target} +=` inside a loop accumulates rounding "
-                "error iteration by iteration; collect the terms and reduce "
-                "once (sum/math.fsum/np.sum) or use integer counters",
+                "error iteration by iteration; collect the terms and fold "
+                "them once with repro.ixp.accounting.ordered_sum, or use "
+                "integer counters",
             )
 
     @staticmethod

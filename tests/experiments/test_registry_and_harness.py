@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,24 @@ from repro.experiments.results import JsonResultMixin, ResultStore, to_jsonable
 from repro.sim import SimulationEngine
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
 class TestRegistry:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.stats costs about half a second to import; the registry
+        # (and every spawned shard worker) must not pay it up front.
+        code = (
+            "import sys, repro.experiments.registry, repro.experiments.city_scale; "
+            "print('scipy' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_all_experiments_registered(self):
         names = [spec.name for spec in all_experiments()]
         assert names == [

@@ -334,13 +334,26 @@ UNKNOWN_EGRESS_ASN = 63999
 
 @st.composite
 def fabric_specs(draw) -> dict:
-    """A small multi-PoP topology description (build it per engine)."""
+    """A small multi-PoP topology description (build it per engine).
+
+    ``port_capacities`` may shrink members' ports to a few kbit/s so the
+    generated intervals congest them (``None`` keeps the drawn capacity):
+    parity then covers egress congestion on ports with and without rules.
+    """
     pop_count = draw(st.integers(min_value=1, max_value=2))
+    member_count = draw(st.integers(min_value=2, max_value=5))
     return {
         "pop_count": pop_count,
         "routers_per_pop": draw(st.integers(min_value=1, max_value=2)),
-        "member_count": draw(st.integers(min_value=2, max_value=5)),
+        "member_count": member_count,
         "seed": draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        "port_capacities": draw(
+            st.lists(
+                st.sampled_from([None, 1e4, 1e5]),
+                min_size=member_count,
+                max_size=member_count,
+            )
+        ),
     }
 
 
@@ -368,7 +381,10 @@ def build_fabric(
         base_asn=MEMBER_BASE_ASN,
         seed=spec["seed"],
     )
-    for member in members:
+    capacities = spec.get("port_capacities") or [None] * len(members)
+    for member, capacity in zip(members, capacities):
+        if capacity is not None:
+            member.port_capacity_bps = capacity
         fabric.connect_member(member)
     if classification_engine is not None:
         fabric.set_classification_engine(classification_engine)

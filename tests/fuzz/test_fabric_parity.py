@@ -3,7 +3,10 @@
 The second parity contract — ``delivery_engine="batched"`` must be
 indistinguishable from ``"per-member"`` in
 :meth:`SwitchingFabric.deliver` — checked end-to-end on generated
-multi-PoP topologies via :meth:`FabricIntervalReport.to_dict`, plus the
+multi-PoP topologies (some ports shrunk until they congest) via
+:meth:`FabricIntervalReport.to_dict` and
+:meth:`FabricIntervalReport.to_columns`, per-member results (the batched
+engine builds rule-less members' results lazily), plus the
 platform-level conservation invariants (offered == carried traffic;
 delivered + filtered + congestion-dropped == offered; IPFIX collector
 totals == carried bytes).
@@ -55,6 +58,24 @@ def install_all(fabric, assignments):
         fabric.router_for_member(member_asn).install_rule(member_asn, rule)
 
 
+def assert_columns_equal(columns_a, columns_b):
+    """Two ``to_columns()`` payloads hold the same numbers, bit for bit."""
+    assert columns_a.keys() == columns_b.keys()
+    assert columns_a["member_asns"].dtype == columns_b["member_asns"].dtype
+    assert columns_a["member_asns"].tolist() == columns_b["member_asns"].tolist()
+    assert columns_a["member_fields"].keys() == columns_b["member_fields"].keys()
+    for name, values in columns_a["member_fields"].items():
+        assert values.tobytes() == columns_b["member_fields"][name].tobytes(), name
+    for key in ("interval_start", "interval", "totals", "rule_stats"):
+        assert columns_a[key] == columns_b[key], key
+
+
+def table_rows(table):
+    """A table's rows as a sorted list (order-insensitive comparison)."""
+    columns = (table.src_ip, table.dst_ip, table.src_port, table.dst_port, table.bytes)
+    return sorted(zip(*(column.tolist() for column in columns)))
+
+
 def known_bytes(fabric, table):
     """Bytes of the rows whose egress member is connected to the fabric."""
     member_asns = fabric.member_asns
@@ -77,6 +98,35 @@ class TestDeliveryEngineParity:
             report_a = batched.deliver(table, INTERVAL, step * INTERVAL)
             report_b = fallback.deliver(table, INTERVAL, step * INTERVAL)
             assert report_a.to_dict() == report_b.to_dict(), f"interval {step}"
+            assert_columns_equal(report_a.to_columns(), report_b.to_columns())
+
+    @given(scenario=fabric_scenarios())
+    def test_looked_up_results_match_per_member_engine(self, scenario):
+        """Results the batched report builds on lookup equal the eager ones."""
+        spec, assignments, tables = scenario
+        batched = build_fabric(spec, delivery_engine="batched")
+        fallback = build_fabric(spec, delivery_engine="per-member")
+        install_all(batched, assignments)
+        install_all(fallback, assignments)
+        for step, table in enumerate(tables):
+            report_a = batched.deliver(table, INTERVAL, step * INTERVAL)
+            report_b = fallback.deliver(table, INTERVAL, step * INTERVAL)
+            assert list(report_a.results_by_member) == list(report_b.results_by_member)
+            for asn, result_b in report_b.results_by_member.items():
+                result_a = report_a.results_by_member[asn]
+                for name in ("forwarded_bits", "dropped_bits", "shaped_passed_bits",
+                             "shaped_dropped_bits", "congestion_dropped_bits"):
+                    assert getattr(result_a, name) == getattr(result_b, name), name
+                assert result_a.rule_stats == result_b.rule_stats
+                for name in ("forwarded_table", "dropped_table", "shaped_table"):
+                    assert table_rows(getattr(result_a, name)) == table_rows(
+                        getattr(result_b, name)
+                    ), name
+            utilisation = report_a.port_utilisation()
+            for row, asn in enumerate(report_a.member_asns.tolist()):
+                port = batched.port_for_member(asn)
+                expected = port.utilisation(report_b.results_by_member[asn], INTERVAL)
+                assert utilisation[row] == expected
 
     @given(scenario=fabric_scenarios())
     def test_port_counters_parity(self, scenario):

@@ -8,6 +8,9 @@ export regression: flows whose egress member is unknown never entered
 the IXP and must not be exported to the collector on either input path.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     IxpMember,
+    PortQosResult,
     QosRule,
     SwitchingFabric,
     small_ixp_edge_router_profile,
@@ -312,6 +316,70 @@ class TestDeliveryPlan:
         assert peer_result._table_source is None
         assert len(forwarded) > 0
         assert set(np.unique(forwarded.egress_asn).tolist()) == {65002}
+
+
+class TestColumnarReport:
+    """The batched report is columns plus a lazy ``results_by_member``."""
+
+    def test_rule_less_members_build_no_result_until_looked_up(self, monkeypatch):
+        built = []
+        build = PortQosResult.__init__
+
+        def counting_build(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(PortQosResult, "__init__", counting_build)
+        fabric = build_fabric()
+        for router in fabric.edge_routers():
+            for port in router.ports():
+                port.retain_history = False  # history would look everyone up
+        report = fabric.deliver(interval_table(), 10.0, engine="batched")
+        assert len(report.results_by_member) == 1 + len(PEER_ASNS)
+        # Only the two filtered ports (victim, 65001) have results.
+        assert len(built) == 2
+        assert 65002 in report.results_by_member
+        assert list(report.results_by_member) == sorted(report.results_by_member)
+        assert len(built) == 2
+        assert report.results_by_member[65002].forwarded_bits > 0
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("engine", ["batched", "per-member"])
+    def test_results_by_member_is_read_only(self, engine):
+        report = build_fabric().deliver(interval_table(), 10.0, engine=engine)
+        with pytest.raises(TypeError):
+            report.results_by_member[VICTIM_ASN] = None
+
+    def test_delivered_report_forms_no_reference_cycle(self):
+        fabric = build_fabric()
+        fabric.retain_reports = False
+        gc.disable()
+        try:
+            report = fabric.deliver(interval_table(), 10.0, engine="batched")
+            assert len(report.results_by_member[65002].forwarded_table) > 0
+            alive = weakref.ref(report)
+            del report
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_columns_and_utilisation_match_per_member_engine(self):
+        fabric_batched, fabric_fallback = build_fabric(), build_fabric()
+        table = interval_table()
+        batched = fabric_batched.deliver(table, 10.0, engine="batched")
+        fallback = fabric_fallback.deliver(table, 10.0, engine="per-member")
+        columns_a, columns_b = batched.to_columns(), fallback.to_columns()
+        assert columns_a["member_asns"].tolist() == columns_b["member_asns"].tolist()
+        for name, values in columns_a["member_fields"].items():
+            assert values.tobytes() == columns_b["member_fields"][name].tobytes(), name
+        assert columns_a["rule_stats"] == columns_b["rule_stats"]
+        assert batched.canonical_json() == fallback.canonical_json()
+        utilisation = batched.port_utilisation()
+        for row, asn in enumerate(batched.member_asns.tolist()):
+            port = fabric_batched.port_for_member(asn)
+            assert utilisation[row] == port.utilisation(
+                fallback.results_by_member[asn], 10.0
+            )
 
 
 class TestIpfixExportFilter:

@@ -38,11 +38,15 @@ def test_baseline_is_empty_and_may_only_shrink():
 
 def test_float_accounting_fix_sites_stay_fixed():
     # The exact seams the RPL006 forward fixes rewrote: platform totals
-    # and shaper accounting reduce once, after their loops.
+    # and shaper accounting reduce once, after their loops, through the
+    # one left-fold helper (the builtin sum() compensates rounding from
+    # Python 3.12 on, so it would give other bits on other interpreters).
     for rel in ("src/repro/ixp/fabric.py", "src/repro/ixp/delivery.py"):
         source = (REPO_ROOT / rel).read_text()
         assert "report.offered_bits +=" not in source, rel
-        assert "float(sum(offered_terms))" in source, rel
+        assert "offered_bits=ordered_sum(" in source, rel
     qos = (REPO_ROOT / "src/repro/ixp/qos.py").read_text()
     assert "shaped_passed +=" not in qos
-    assert "float(sum(passed_terms))" in qos
+    assert "ordered_sum(passed_terms)" in qos
+    shard = (REPO_ROOT / "src/repro/ixp/shard.py").read_text()
+    assert "ordered_sum(" in shard
