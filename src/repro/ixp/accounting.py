@@ -19,13 +19,7 @@ import numpy as np
 
 
 def ordered_sum(terms: Iterable[float] | np.ndarray) -> float:
-    """``((0.0 + t0) + t1) + ...``: a left-to-right float sum of ``terms``.
-
-    A float array is folded by ``np.add.accumulate``, which adds strictly
-    left to right too (unlike ``ndarray.sum``'s pairwise blocks), without
-    converting every term to a Python float first.
-    """
+    """``((0.0 + t0) + t1) + ...``: a left-to-right float sum of ``terms``."""
     if isinstance(terms, np.ndarray):
-        running = np.add.accumulate(np.concatenate(([0.0], terms)))
-        return float(running[-1])
+        terms = terms.tolist()
     return float(functools.reduce(operator.add, terms, 0.0))

@@ -17,7 +17,7 @@ pass:
    preserved inside the global order.  The plan also holds the member
    ports in ascending-ASN order with a column of their egress capacities;
 2. **group** — one argsort of the interval's egress column groups every
-   member's rows (each in original row order), and one exact segmented sum
+   member's rows (each in original row order), and one integer prefix sum
    (:func:`segment_sums`) gives every member's offered bits;
 3. **classify** — only the members whose ports carry rules: each such
    member's slice is classified through the port's
@@ -75,7 +75,6 @@ from .qos import (
     _DROP_CODE,
     _FORWARD_CODE,
     FilterAction,
-    PortQosPolicy,
     PortQosResult,
     QosRule,
     _group_rows,
@@ -85,48 +84,18 @@ from .qos import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
 
-#: ``ndarray.sum`` adds a run shorter than this left to right from zero;
-#: longer runs are unrolled into eight interleaved partial sums.
-_PAIRWISE_UNROLL = 8
-
 _RULES_VERSION = operator.attrgetter("qos.rules_version")
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``values[s:s + c].sum()`` for every segment ``(s, c)``, bit for bit.
+    """``values[s:s + c].sum()`` for every segment ``(s, c)`` of integer ``values``.
 
-    ``ndarray.sum`` is numpy's pairwise sum.  ``np.add.reduceat`` and
-    ``np.bincount(weights=)`` add in other orders, so on floats they can
-    differ in the last bit.  Segments shorter than eight values are summed
-    by one vectorised left fold over all of them at once — exactly what
-    the pairwise sum does at that length — and each longer segment calls
-    ``.sum()`` itself.  In a delivery interval almost every member is
-    sent a handful of flows, so the loop is short.
-
-    The fold pads short segments with zeros on the right.  That is exact:
-    a fold that starts from ``+0.0`` never holds ``-0.0``, and adding
-    ``+0.0`` to anything else leaves it unchanged.  Integer sums are
-    exact in any order, so integer values take one prefix sum instead.
+    Offered bits are integers (``FlowTable.bits`` is ``bytes * 8`` on an
+    int64 column), and integer sums are exact in any order, so one prefix
+    sum serves every segment, empty ones included.
     """
-    if values.dtype.kind in "iu":
-        prefix = np.concatenate((np.zeros(1, dtype=values.dtype), np.cumsum(values)))
-        return prefix[starts + counts] - prefix[starts]
-    sums = np.zeros(len(starts), dtype=values.dtype)
-    short = np.flatnonzero((counts > 0) & (counts < _PAIRWISE_UNROLL))
-    if len(short):
-        short_counts = counts[short]
-        steps = np.arange(int(short_counts.max()))
-        taken = steps < short_counts[:, None]
-        rows = np.where(taken, starts[short][:, None] + steps, 0)
-        padded = np.where(taken, values[rows], 0)
-        folded = sums[short]
-        for column in padded.T:
-            folded = folded + column
-        sums[short] = folded
-    for index in np.flatnonzero(counts >= _PAIRWISE_UNROLL).tolist():
-        start = int(starts[index])
-        sums[index] = values[start : start + int(counts[index])].sum()
-    return sums
+    prefix = np.concatenate((np.zeros(1, dtype=values.dtype), np.cumsum(values)))
+    return prefix[starts + counts] - prefix[starts]
 
 
 @dataclass(frozen=True)
@@ -185,10 +154,6 @@ class FabricDeliveryPlan:
         #: Rule-set version of every port at compile time (the cache key),
         #: aligned with :attr:`_port_list`.
         self._versions: list[int] = list(map(_RULES_VERSION, self._port_list))
-        #: :attr:`PortQosPolicy.mutations` when the versions last matched:
-        #: until any policy mutates again, the plan is current without a
-        #: per-port scan.
-        self._checked_mutations = PortQosPolicy.mutations
         #: Each filtered member's contiguous slice of :attr:`_rules`.  The
         #: :class:`CompiledRule` entries are position-independent (global
         #: index = start + port-local rank), so an unchanged port's
@@ -245,18 +210,12 @@ class FabricDeliveryPlan:
         Checked once per delivery interval: no member may have connected
         since the compile, and every port's rule-set version must equal
         the compile-time snapshot.  O(members) per check, versus an
-        O(total rules) recompile — and O(1) while no policy in the
-        process has mutated since the last check.
+        O(total rules) recompile.
         """
-        if self.fabric.membership_version != self._membership:
-            return False
-        mutations = PortQosPolicy.mutations
-        if mutations == self._checked_mutations:
-            return True
-        if list(map(_RULES_VERSION, self._port_list)) != self._versions:
-            return False
-        self._checked_mutations = mutations
-        return True
+        return (
+            self.fabric.membership_version == self._membership
+            and list(map(_RULES_VERSION, self._port_list)) == self._versions
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -384,11 +343,7 @@ class FabricDeliveryPlan:
         connected never entered the IXP and belong to no group.
         """
         row_count = len(table)
-        # The sort key (egress, row) is unique, so the quick argsort
-        # orders exactly as a stable one, at a third of its cost.
-        order = np.argsort(
-            table.egress_asn.astype(np.int64) * row_count + np.arange(row_count)
-        )
+        order = np.argsort(table.egress_asn, kind="stable")
         egress = table.egress_asn[order]
         starts = np.flatnonzero(np.concatenate(([True], egress[1:] != egress[:-1])))
         counts = np.diff(np.append(starts, row_count))

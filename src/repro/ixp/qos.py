@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -370,13 +370,6 @@ class PortQosPolicy:
     fresh index.
     """
 
-    #: Rule-set mutations of every policy in the process, counted
-    #: together: a delivery plan that has seen none since it last compared
-    #: its ports' versions skips the per-port scan.  Sharing it across
-    #: fabrics is safe — another fabric's mutation costs a plan one scan,
-    #: never a stale answer — and it only ever grows.
-    mutations: ClassVar[int] = 0
-
     def __init__(
         self, port_capacity_bps: float, classification_engine: str = "indexed"
     ) -> None:
@@ -387,7 +380,7 @@ class PortQosPolicy:
                 f"unknown classification engine {classification_engine!r}; "
                 f"known: {', '.join(CLASSIFICATION_ENGINES)}"
             )
-        self.port_capacity_bps = port_capacity_bps
+        self._port_capacity_bps = port_capacity_bps
         self.classification_engine = classification_engine
         self._rules: list[QosRule] = []
         self._sorted_rules: list[QosRule] = []
@@ -400,12 +393,20 @@ class PortQosPolicy:
         self._action_codes: Optional[np.ndarray] = None
         self._anon_ids = itertools.count(1)
 
+    @property
+    def port_capacity_bps(self) -> float:
+        """The port's egress capacity, fixed at construction.
+
+        Read-only because the fabric's delivery plan keeps a column of
+        every port's capacity and reuses it across recompiles.
+        """
+        return self._port_capacity_bps
+
     # ------------------------------------------------------------------
     # Rule management
     # ------------------------------------------------------------------
     def _bump(self) -> None:
         self._version += 1
-        PortQosPolicy.mutations += 1
         self._action_codes = None
 
     def _resort(self) -> None:

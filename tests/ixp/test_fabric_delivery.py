@@ -306,6 +306,21 @@ class TestDeliveryPlan:
         patched.pop("interval_start"), fresh.pop("interval_start")
         assert patched == fresh
 
+    def test_recompile_reuses_a_capacity_column_that_cannot_go_stale(self):
+        # A recompile of unchanged membership adopts the previous plan's
+        # capacity column, which is only sound while capacities are fixed.
+        fabric = build_fabric()
+        before = fabric.current_delivery_plan()
+        fabric.router_for_member(65001).install_rule(
+            65001, QosRule(match=FlowMatch(src_port=19), action=FilterAction.DROP)
+        )
+        after = fabric.current_delivery_plan()
+        assert after is not before
+        assert after._capacity_bps is before._capacity_bps
+        port = fabric.port_for_member(65001)
+        with pytest.raises(AttributeError):
+            port.qos.port_capacity_bps = 1.0
+
     def test_passthrough_results_defer_tables(self):
         fabric = build_fabric()
         table = interval_table()
