@@ -15,7 +15,7 @@ platform-level group-by + classification pass.
   thousand members, rules on ~1 % of the ports.  It records both
   engines' times in ``BENCH_fabric_churn.json`` without a timing floor,
   and asserts parity and that delivery builds a per-member result only
-  for the ports that carry rules.
+  for the ports whose rows a rule claimed.
 
 Both engines are parity-tested in ``tests/ixp/test_fabric_delivery.py``;
 here only the clock differs.
@@ -258,23 +258,29 @@ def test_bench_churn_shaped_interval(monkeypatch):
 
     monkeypatch.setattr(PortQosResult, "__init__", counting_build)
     seconds = {"batched": 0.0, "per-member": 0.0}
-    members_delivered = 0
+    members_delivered = claimed_total = 0
     for step, table in enumerate(tables):
         built.clear()
         start = time.perf_counter()
         report = fabric_batched.deliver(table, INTERVAL, step * INTERVAL)
         seconds["batched"] += time.perf_counter() - start
         members_delivered += len(report.results_by_member)
-        ruled_with_traffic = set(ruled) & set(report.member_asns.tolist())
-        assert ruled_with_traffic, "no port with rules got traffic"
-        assert len(built) == len(ruled_with_traffic), (
-            f"delivery built {len(built)} per-member results for "
-            f"{len(ruled_with_traffic)} ports with rules"
-        )
+        built_count = len(built)
         start = time.perf_counter()
         expected = fabric_fallback.deliver(table, INTERVAL, step * INTERVAL)
         seconds["per-member"] += time.perf_counter() - start
+        ruled_with_traffic = set(ruled) & set(report.member_asns.tolist())
+        assert ruled_with_traffic, "no port with rules got traffic"
+        # Every rule is a DROP, so a port's rows were claimed exactly when
+        # the per-member engine reports stats for it.
+        claimed_ports = ruled_with_traffic & set(expected.rule_stats)
+        claimed_total += len(claimed_ports)
+        assert built_count == len(claimed_ports), (
+            f"delivery built {built_count} per-member results for "
+            f"{len(claimed_ports)} ports whose rows a rule claimed"
+        )
         assert report.to_dict() == expected.to_dict(), f"interval {step}"
+    assert claimed_total, "no rule claimed any row"
 
     speedup = seconds["per-member"] / seconds["batched"]
     print_table(

@@ -41,13 +41,15 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import secrets
 from collections import deque
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from ..traffic.flowtable import FlowTable
-from ..traffic.sharedtable import SharedFlowTable
+from ..traffic.sharedtable import SharedFlowTable, unlink_block
 
 #: Chunks in flight per shard: the current chunk being consumed plus this
 #: many queued/computing behind it.  Bounds shared-memory usage at
@@ -56,6 +58,21 @@ WINDOW_CHUNKS = 2
 
 #: Execution modes of :func:`iter_shard_intervals`.
 EXECUTION_MODES = ("sharded", "serial")
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard's chunk failed in its worker (an exception or a dead process).
+
+    The original exception is the ``__cause__``.  By the time this reaches
+    the caller the pool is shut down and every shared-memory table the
+    run produced has been unlinked.
+    """
+
+    def __init__(self, shard_index: int, cause: BaseException) -> None:
+        super().__init__(
+            f"shard {shard_index} failed in its worker: {type(cause).__name__}: {cause}"
+        )
+        self.shard_index = shard_index
 
 
 def spawn_context() -> multiprocessing.context.BaseContext:
@@ -111,6 +128,24 @@ def _next_run_token() -> int:
     return (os.getpid() << 20) | (next(_run_tokens) & 0xFFFFF)
 
 
+def _block_names(prefix: str, shard_index: int, first: int, count: int) -> tuple[str, ...]:
+    """Shared-memory block names of one chunk's interval tables.
+
+    ``prefix`` is random per run, and the names are unique per shard and
+    interval within it and short enough for every platform's limit, so
+    the parent can destroy a dead worker's blocks by name.
+    """
+    return tuple(f"{prefix}_{shard_index}_{index}" for index in range(first, first + count))
+
+
+def _unlink_tables(payloads: Sequence[Mapping[str, Any]]) -> None:
+    """Destroy the shared-memory block of every payload table still shipped."""
+    for payload in payloads:
+        handle = payload.get("table")
+        if isinstance(handle, SharedFlowTable):
+            handle.unlink()
+
+
 def _run_shard_chunk(
     factory: Callable[..., Any],
     factory_kwargs: Mapping[str, Any],
@@ -118,13 +153,15 @@ def _run_shard_chunk(
     shard_index: int,
     times: tuple[float, ...],
     interval: float,
+    block_names: tuple[str, ...],
 ) -> list[dict[str, Any]]:
     """Run one chunk of intervals on one shard's runtime (worker side).
 
     The first chunk of a run instantiates the runtime via ``factory``
     (a module-level callable, so it pickles by reference under spawn);
     later chunks reuse it.  Flow tables in the payloads are swapped for
-    shared-memory handles with ownership transferred to the parent.
+    shared-memory handles, in the blocks ``block_names`` names (one per
+    interval), with ownership transferred to the parent.
     """
     key = (run_token, shard_index)
     runtime = _RUNTIMES.get(key)
@@ -133,13 +170,20 @@ def _run_shard_chunk(
             del _RUNTIMES[stale]
         runtime = factory(**dict(factory_kwargs))
         _RUNTIMES[key] = runtime
-    payloads = []
-    for interval_start in times:
-        payload = runtime.run_interval(interval_start, interval)
-        table = payload.get("table")
-        if isinstance(table, FlowTable):
-            payload["table"] = SharedFlowTable.from_table(table, transfer=True)
-        payloads.append(payload)
+    payloads: list[dict[str, Any]] = []
+    try:
+        for interval_start, name in zip(times, block_names):
+            payload = runtime.run_interval(interval_start, interval)
+            table = payload.get("table")
+            if isinstance(table, FlowTable):
+                payload["table"] = SharedFlowTable.from_table(table, transfer=True, name=name)
+            payloads.append(payload)
+    except BaseException:
+        # The parent never receives these handles.  Destroying the blocks
+        # here, by handle, also spares a block of another process whose
+        # name this chunk collided with.
+        _unlink_tables(payloads)
+        raise
     return payloads
 
 
@@ -163,7 +207,9 @@ def iter_shard_intervals(
     :class:`FlowTable` views.  A yielded table is valid until the next
     iteration step (its shared-memory block is released when the
     consumer advances), which is exactly the streaming contract: consume
-    an interval, move on, nothing accumulates.
+    an interval, move on, nothing accumulates.  A chunk that fails in its
+    worker raises :class:`ShardWorkerError`; the pool is shut down and
+    every unconsumed block destroyed before it propagates.
 
     ``execution="serial"`` builds the same runtimes in-process and walks
     them sequentially — bit-for-bit the reference for the sharded mode,
@@ -196,39 +242,55 @@ def iter_shard_intervals(
         for start in range(0, len(times), chunk_intervals)
     ]
     run_token = _next_run_token()
+    prefix = f"rp{secrets.token_hex(6)}"
     pool = ShardWorkerPool(workers=min(workers, shard_count), mp_context=mp_context)
-    pending: list[deque] = [deque() for _ in range(shard_count)]
+    #: Per shard: ``(future, block names)`` of every chunk in flight.
+    pending: list[deque[tuple[Future, tuple[str, ...]]]] = [
+        deque() for _ in range(shard_count)
+    ]
     next_chunk = [0] * shard_count
 
     def submit_next(shard_index: int) -> None:
-        if next_chunk[shard_index] >= len(chunks):
+        index = next_chunk[shard_index]
+        if index >= len(chunks):
             return
-        chunk = chunks[next_chunk[shard_index]]
         next_chunk[shard_index] += 1
-        pending[shard_index].append(
-            pool.submit(
+        chunk = tuple(chunks[index])
+        names = _block_names(prefix, shard_index, index * chunk_intervals, len(chunk))
+        try:
+            future = pool.submit(
                 shard_index,
                 _run_shard_chunk,
                 factory,
                 dict(shard_kwargs[shard_index]),
                 run_token,
                 shard_index,
-                tuple(chunk),
+                chunk,
                 interval,
+                names,
             )
-        )
+        except BrokenProcessPool as exc:  # the shard's worker already died
+            raise ShardWorkerError(shard_index, exc) from exc
+        pending[shard_index].append((future, names))
 
-    current_chunk: list[list[dict[str, Any]]] = []
+    #: Per shard, the payloads of the chunk being collected or walked.
+    chunk_payloads: list[list[dict[str, Any]]] = []
+    #: Block names of chunks whose worker died: it may have made some.
+    lost_names: list[str] = []
     try:
         for _ in range(WINDOW_CHUNKS):
             for shard_index in range(shard_count):
                 submit_next(shard_index)
         for chunk in chunks:
-            chunk_payloads = [
-                pending[shard_index].popleft().result()
-                for shard_index in range(shard_count)
-            ]
-            current_chunk = chunk_payloads
+            chunk_payloads = []
+            for shard_index in range(shard_count):
+                future, names = pending[shard_index].popleft()
+                try:
+                    chunk_payloads.append(future.result())
+                except Exception as exc:
+                    if isinstance(exc, BrokenProcessPool):
+                        lost_names.extend(names)
+                    raise ShardWorkerError(shard_index, exc) from exc
             for shard_index in range(shard_count):
                 submit_next(shard_index)
             for position, interval_start in enumerate(chunk):
@@ -249,21 +311,21 @@ def iter_shard_intervals(
                         handle.release()
     finally:
         pool.shutdown()
-        # Unlink any blocks that were produced but never consumed (early
-        # exit or failure downstream): unyielded rows of the chunk being
-        # walked, plus completed chunks still queued.
-        leftovers: list[dict[str, Any]] = [
-            payload for payloads in current_chunk for payload in payloads
-        ]
+        # Destroy every block that was produced but not consumed — after
+        # an early exit, a failure downstream or a failed worker: the
+        # unyielded rest of the current chunk plus every chunk still in
+        # flight.  A worker that raised destroyed its chunk's blocks
+        # itself; one that died leaves only their names.
+        leftovers = [payload for payloads in chunk_payloads for payload in payloads]
         for queue in pending:
-            for future in queue:
+            for future, names in queue:
                 if not future.done() or future.cancelled():
                     continue
-                try:
+                failure = future.exception()
+                if failure is None:
                     leftovers.extend(future.result())
-                except BaseException:
-                    continue
-        for payload in leftovers:
-            handle = payload.get("table")
-            if isinstance(handle, SharedFlowTable):
-                handle.unlink()
+                elif isinstance(failure, BrokenProcessPool):
+                    lost_names.extend(names)
+        _unlink_tables(leftovers)
+        for name in lost_names:
+            unlink_block(name)

@@ -14,42 +14,50 @@ pass:
 1. **compile** — every connected port's QoS rules are snapshotted into a
    single columnar rule set; each :class:`CompiledRule` is tagged with its
    egress member, and per-port precedence (most-specific-first) is
-   preserved inside the global order.  The plan also holds the member
-   ports in ascending-ASN order with a column of their egress capacities;
+   preserved inside the global order.  The compiled
+   :class:`~repro.ixp.ruleindex.RuleMatchIndex` of every port with rules
+   on the ``"indexed"`` engine (cached on the port policy) is merged
+   into one platform index keyed by the port's plan position and ranked
+   globally.  The plan also holds
+   the member ports in ascending-ASN order with a column of their egress
+   capacities;
 2. **group** — one argsort of the interval's egress column groups every
    member's rows (each in original row order), and one integer prefix sum
    (:func:`segment_sums`) gives every member's offered bits;
-3. **classify** — only the members whose ports carry rules: each such
-   member's slice is classified through the port's
-   :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the compiled
-   :class:`~repro.ixp.ruleindex.RuleMatchIndex` by default, the per-rule
-   pass when the port runs the fallback engine; per-rule matched bits
-   fall out of a single ``bincount``;
-4. **account** — a member without rules forwards everything, so its
-   accounting is columns: egress congestion is applied column-wise
-   against the capacity column, and nothing per member is built.  A
-   member with rules gets its :class:`~repro.ixp.qos.PortQosResult`
-   from the scatter, which iterates only the rules that claimed rows, so
-   a port with tens of thousands of installed fine-grained rules costs
-   O(claimed), not O(installed).  Platform totals reduce from the
-   columns, and each port's :class:`~repro.ixp.port.PortCounters` get
-   one call;
+3. **classify** — the rows of every member whose port carries rules are
+   classified in one lookup of the merged index, each row owned by its
+   port, so a rule never claims another port's rows.  A port on the
+   ``"per-rule"`` engine (the parity oracle) keeps its own
+   :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` pass over its slice.
+   Per-rule matched bits fall out of a single ``bincount``;
+4. **account** — a member whose rows no rule claimed forwards everything,
+   so its accounting is columns: egress congestion is applied
+   column-wise against the capacity column, and nothing per member is
+   built.  A member with claimed rows gets its
+   :class:`~repro.ixp.qos.PortQosResult` from the scatter, which
+   iterates only the rules that claimed rows, so a port with tens of
+   thousands of installed fine-grained rules costs O(claimed), not
+   O(installed).  Platform totals reduce from the columns, and each
+   port's :class:`~repro.ixp.port.PortCounters` get one call;
 5. **report** — the :class:`~repro.ixp.fabric.FabricIntervalReport`
    holds the columns.  Its ``results_by_member`` is a read-only view
-   that builds a rule-less member's result (with deferred table views)
-   only when someone looks that member up.
+   that builds the result of a member without claimed rows (with
+   deferred table views) only when someone looks that member up.
 
-In a DE-CIX-class interval only a few hundred of the thousands of ports carry
-a blackholing rule, so steps 3 and 4's per-member Python work scales with
-the filtered members, not the platform.
+In a DE-CIX-class interval only a few hundred of the thousands of ports
+carry a blackholing rule, and only a handful of rows match one, so the
+per-member Python work of steps 3 and 4 scales with the members whose
+traffic a rule claimed, not with the platform or the filtered ports.
 
 Plans are cached across intervals: each plan snapshots every port's
-rule-set version counter (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`),
+configuration version (:attr:`~repro.ixp.qos.PortQosPolicy.config_version`),
 and :meth:`SwitchingFabric.deliver` reuses the plan while
-:meth:`FabricDeliveryPlan.is_current` holds — rule installs/removals bump
-the counter, so only intervals after a configuration change recompile, and
-the per-port match indexes themselves are cached on the policies so
-untouched ports never recompile at all.
+:meth:`FabricDeliveryPlan.is_current` holds — rule installs/removals and
+engine switches bump the counter, so only intervals after a configuration
+change recompile, and the per-port match indexes themselves are cached on
+the policies so untouched ports never recompile at all.  While no policy
+in the process has changed since a plan last looked,
+:meth:`~FabricDeliveryPlan.is_current` answers without reading the ports.
 
 The engine is bit-for-bit equal to the per-member loop (same float
 operations in the same order — ``tests/ixp/test_fabric_delivery.py`` pins
@@ -75,16 +83,18 @@ from .qos import (
     _DROP_CODE,
     _FORWARD_CODE,
     FilterAction,
+    PortQosPolicy,
     PortQosResult,
     QosRule,
     _group_rows,
     _shape_rows_by_rank,
 )
+from .ruleindex import RuleMatchIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fabric import FabricIntervalReport, SwitchingFabric
 
-_RULES_VERSION = operator.attrgetter("qos.rules_version")
+_CONFIG_VERSION = operator.attrgetter("qos.config_version")
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -113,11 +123,12 @@ class FabricDeliveryPlan:
     """Compiled snapshot of a fabric's ports and QoS rules.
 
     A plan is cheap to build (one walk over the connected ports), and it
-    records every port's rule-set version, so the fabric keeps reusing it
-    across delivery intervals until :meth:`is_current` reports that the
-    membership or some port's rules changed.  A plan compiled to replace
-    a stale ``previous`` plan of the same membership adopts its port map,
-    capacity column and the compiled segments of every unchanged port.
+    records every port's configuration version, so the fabric keeps
+    reusing it across delivery intervals until :meth:`is_current` reports
+    that the membership or some port's rules or engine changed.  A plan
+    compiled to replace a stale ``previous`` plan of the same membership
+    adopts its port map, capacity column and the compiled segments of
+    every unchanged port.
     """
 
     def __init__(
@@ -151,28 +162,40 @@ class FabricDeliveryPlan:
                 [port.qos.port_capacity_bps for port in self._port_list],
                 dtype=np.float64,
             )
-        #: Rule-set version of every port at compile time (the cache key),
-        #: aligned with :attr:`_port_list`.
-        self._versions: list[int] = list(map(_RULES_VERSION, self._port_list))
+        #: The process-wide policy change count the versions below are
+        #: known to be current at (see :meth:`is_current`).
+        self._config_changes = PortQosPolicy.config_changes
+        #: Configuration version of every port at compile time (the cache
+        #: key), aligned with :attr:`_port_list`.
+        self._versions: list[int] = list(map(_CONFIG_VERSION, self._port_list))
         #: Each filtered member's contiguous slice of :attr:`_rules`.  The
         #: :class:`CompiledRule` entries are position-independent (global
         #: index = start + port-local rank), so an unchanged port's
         #: segment is reused verbatim when patching a stale plan.
         self._segments: dict[int, list[CompiledRule]] = {}
+        #: Each filtered port's compiled index, for the ports on the
+        #: ``"indexed"`` engine (an engine switch moves the port's
+        #: version, so this stays true until the plan is stale).
+        self._port_indexes: dict[int, RuleMatchIndex] = {}
         changed: Iterable[int] = range(len(self._port_list))
         if previous is not None:
             self._segments = dict(previous._segments)
+            self._port_indexes = dict(previous._port_indexes)
             changed = np.flatnonzero(
                 np.array(self._versions) != np.array(previous._versions)
             ).tolist()
         for position in changed:
             asn = int(self._member_asns[position])
+            qos = self._port_list[position].qos
             segment = [
                 CompiledRule(member_asn=asn, rule=rule, port_rule_index=rank)
-                for rank, rule in enumerate(self._port_list[position].qos.sorted_rules())
+                for rank, rule in enumerate(qos.sorted_rules())
             ]
+            self._port_indexes.pop(asn, None)
             if segment:
                 self._segments[asn] = segment
+                if qos.classification_engine == "indexed":
+                    self._port_indexes[asn] = qos.compiled_index()
             else:
                 self._segments.pop(asn, None)
         #: The platform-level rule set, grouped per member in per-port
@@ -189,6 +212,18 @@ class FabricDeliveryPlan:
         self._has_rules = np.isin(
             self._member_asns, np.array(list(self._segments), dtype=np.int64)
         )
+        #: Every compiled port index merged into one, keyed by the port's
+        #: position and ranked globally, plus which ports it covers.
+        indexed_asns = sorted(self._port_indexes)
+        indexed_positions = np.searchsorted(
+            self._member_asns, np.array(indexed_asns, dtype=np.int64)
+        ).tolist()
+        self._index = RuleMatchIndex.merged(
+            (position, self._member_start[asn], self._port_indexes[asn])
+            for position, asn in zip(indexed_positions, indexed_asns)
+        )
+        self._in_index = np.zeros(len(self._port_list), dtype=bool)
+        self._in_index[indexed_positions] = True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -207,15 +242,20 @@ class FabricDeliveryPlan:
     def is_current(self) -> bool:
         """True while the plan still matches the fabric's configuration.
 
-        Checked once per delivery interval: no member may have connected
-        since the compile, and every port's rule-set version must equal
-        the compile-time snapshot.  O(members) per check, versus an
-        O(total rules) recompile.
+        No member may have connected since the compile, and every port's
+        configuration version must equal the compile-time snapshot.  The
+        O(members) version scan runs only when some policy in the process
+        changed since this plan last looked, so a steady-state interval
+        checks in O(1), however often it asks.
         """
-        return (
-            self.fabric.membership_version == self._membership
-            and list(map(_RULES_VERSION, self._port_list)) == self._versions
-        )
+        if self.fabric.membership_version != self._membership:
+            return False
+        changes = PortQosPolicy.config_changes
+        if changes != self._config_changes:
+            if list(map(_CONFIG_VERSION, self._port_list)) != self._versions:
+                return False
+            self._config_changes = changes
+        return True
 
     # ------------------------------------------------------------------
     # Execution
@@ -223,7 +263,10 @@ class FabricDeliveryPlan:
     def execute(
         self, table: FlowTable, interval: float, interval_start: float = 0.0
     ) -> "FabricIntervalReport":
-        """Carry one interval across the platform in a single batched pass."""
+        """Carry one interval across the platform in a single batched pass.
+
+        A stale plan raises :class:`RuntimeError`.
+        """
         from .fabric import MEMBER_REPORT_FIELDS, FabricIntervalReport
 
         if interval <= 0:
@@ -233,8 +276,8 @@ class FabricDeliveryPlan:
             # scatter indexes this plan's snapshot; running a stale plan
             # would silently attribute bits to the wrong rules.
             raise RuntimeError(
-                "delivery plan is stale (rules or membership changed since "
-                "compile); rebuild via SwitchingFabric.current_delivery_plan()"
+                "delivery plan is stale (rules, engines or membership changed "
+                "since compile); rebuild via SwitchingFabric.current_delivery_plan()"
             )
         if len(table) == 0:
             return FabricIntervalReport(interval_start=interval_start, interval=interval)
@@ -259,19 +302,21 @@ class FabricDeliveryPlan:
         forwarded[over] *= capacity_bits[over] / delivered[over]
 
         results: dict[int, PortQosResult] = {}
-        has_rules = self._has_rules[positions]
-        filtered = np.flatnonzero(has_rules).tolist()
-        if filtered:
-            group_rows = {
-                index: order[starts[index] : starts[index] + counts[index]]
-                for index in filtered
-            }
+        # Members with rules are classified in one pass; only those whose
+        # rows some rule claimed get a scatter-built result.  Everyone
+        # else forwards its whole offer and is accounted from the columns.
+        built = np.zeros(len(offered), dtype=bool)
+        filtered = np.flatnonzero(self._has_rules[positions])
+        if len(filtered):
             assigned, per_rule_bits = self._classify(
-                table, bits, member_asns, group_rows
+                table, bits, order, positions, starts, counts, filtered
             )
-            for index, rows in group_rows.items():
+            claimed_rows = (assigned[order] >= 0).astype(np.int64)
+            built = segment_sums(claimed_rows, starts, counts) > 0
+            for index in np.flatnonzero(built).tolist():
                 asn = int(member_asns[index])
                 port = self._port_list[positions[index]]
+                rows = order[starts[index] : starts[index] + counts[index]]
                 result = self._filtered_result(
                     table, rows, asn, assigned, bits, per_rule_bits, port, interval
                 )
@@ -289,15 +334,15 @@ class FabricDeliveryPlan:
         view = _MemberResults(
             member_asns, forwarded, congestion, results, table, order, starts, counts
         )
-        # A rule-less port's dropped and shaped counters would only add
-        # +0.0, which leaves them unchanged.
-        rule_less = np.flatnonzero(~has_rules)
+        # A forwarding-only port's dropped and shaped counters would only
+        # add +0.0, which leaves them unchanged.
+        forward_only = np.flatnonzero(~built)
         for position, asn, offer, carried, congested in zip(
-            positions[rule_less].tolist(),
-            member_asns[rule_less].tolist(),
-            offered[rule_less].tolist(),
-            delivered[rule_less].tolist(),
-            congestion[rule_less].tolist(),
+            positions[forward_only].tolist(),
+            member_asns[forward_only].tolist(),
+            offered[forward_only].tolist(),
+            delivered[forward_only].tolist(),
+            congestion[forward_only].tolist(),
         ):
             port = self._port_list[position]
             port.counters.add(offer, carried, 0.0, 0.0, 0.0, congested)
@@ -358,27 +403,44 @@ class FabricDeliveryPlan:
         self,
         table: FlowTable,
         bits: np.ndarray,
-        member_asns: np.ndarray,
-        group_rows: Mapping[int, np.ndarray],
+        order: np.ndarray,
+        positions: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        filtered: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Assign each row its claiming rule (global index, or -1 = forward).
 
-        Rules of different members are disjoint by the egress column, so
-        each filtered member's rules are matched against that member's
-        row slice only, through the port policy's shared
-        :meth:`~repro.ixp.qos.PortQosPolicy.assign_table` — the compiled
-        rule-match index on the default engine.  ``assign_table`` is
-        row-wise, so verdicts on the slice equal verdicts on the full
-        table; local ranks map to global rule indices by the member's
-        contiguous block offset.
+        The ``filtered`` groups' rows are classified by one lookup in the
+        merged :class:`~repro.ixp.ruleindex.RuleMatchIndex`, each row
+        owned by its member's port position, so a rule only claims rows
+        of its own port; the merged index ranks globally (member start +
+        port rank).  A port on the ``"per-rule"`` engine, the parity
+        oracle, keeps its own :meth:`~repro.ixp.qos.PortQosPolicy.assign_table`
+        pass over its slice.
         """
         assigned = np.full(len(table), -1, dtype=np.int64)
-        for index, rows in group_rows.items():
-            asn = int(member_asns[index])
-            ranks = self._ports[asn].qos.assign_table(table.select(rows))
+        on_index = self._in_index[positions[filtered]]
+        for index in filtered[~on_index].tolist():
+            rows = order[starts[index] : starts[index] + counts[index]]
+            qos = self._port_list[positions[index]].qos
+            ranks = qos.assign_table(table.select(rows))
             matched = ranks >= 0
             if matched.any():
+                asn = int(self._member_asns[positions[index]])
                 assigned[rows[matched]] = self._member_start[asn] + ranks[matched]
+        groups = filtered[on_index]
+        if len(groups):
+            lengths = counts[groups]
+            # Every group's row range, concatenated without a Python loop.
+            ends = np.cumsum(lengths)
+            offsets = np.repeat(starts[groups] - (ends - lengths), lengths)
+            rows = order[offsets + np.arange(int(ends[-1]))]
+            ranks = self._index.assign(
+                table.select(rows), np.repeat(positions[groups], lengths)
+            )
+            matched = ranks >= 0
+            assigned[rows[matched]] = ranks[matched]
         matched = assigned >= 0
         per_rule_bits = np.bincount(
             assigned[matched], weights=bits[matched], minlength=len(self._rules)
@@ -491,10 +553,10 @@ class FabricDeliveryPlan:
 class _MemberResults(Mapping[int, PortQosResult]):
     """The read-only ``results_by_member`` of a batched interval report.
 
-    A member with rules maps to the result the scatter built.  Any other
-    member's :class:`~repro.ixp.qos.PortQosResult` is built from the
-    report's columns when it is looked up, with its table views still
-    deferred, so iterating the ASNs or taking ``len`` builds nothing.
+    A member whose rows a rule claimed maps to the result the scatter
+    built.  Any other member's :class:`~repro.ixp.qos.PortQosResult` is
+    built from the report's columns when it is looked up, with its table
+    views still deferred, so iterating the ASNs or taking ``len`` builds nothing.
     The view holds the columns and the interval's table, never the
     report, so the two form no reference cycle.
     """

@@ -399,9 +399,10 @@ class SwitchingFabric:
     def current_delivery_plan(self) -> FabricDeliveryPlan:
         """The cached delivery plan, recompiled only when stale.
 
-        Plans snapshot every port's rule-set version
-        (:attr:`~repro.ixp.qos.PortQosPolicy.rules_version`); installs,
-        removals and membership changes invalidate the cache, so a
+        Plans snapshot every port's configuration version
+        (:attr:`~repro.ixp.qos.PortQosPolicy.config_version`); installs,
+        removals, engine switches and membership changes invalidate the
+        cache, so a
         mid-run configuration change is picked up on the next interval
         while steady-state intervals skip the recompile entirely — and
         the per-port compiled match indexes are cached on the policies
@@ -410,7 +411,7 @@ class SwitchingFabric:
 
         A stale cached plan is *patched*, not rebuilt: the replacement
         plan adopts the previous plan's compiled segment for every port
-        whose rule-set version is unchanged, so a single-port install
+        whose configuration version is unchanged, so a single-port install
         re-derives only that port's slice of the platform rule set.
         """
         plan = self._plan_cache
@@ -425,14 +426,12 @@ class SwitchingFabric:
         ``"indexed"`` (the default) or ``"per-rule"`` — the parity knob
         the fine-grained experiments sweep.  Applies to currently
         connected ports; ports connected later use the policy default.
+        A switch moves the ports' ``config_version``, so the next
+        interval recompiles the delivery plan.
         """
-        from .qos import CLASSIFICATION_ENGINES
+        from .qos import _checked_engine
 
-        if engine not in CLASSIFICATION_ENGINES:
-            raise ValueError(
-                f"unknown classification engine {engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
+        _checked_engine(engine)  # also when no port is connected
         for router in self._edge_routers.values():
             for port in router.ports():
                 port.qos.classification_engine = engine

@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -46,6 +46,15 @@ from .ruleindex import RuleMatchIndex
 #: :class:`~repro.ixp.ruleindex.RuleMatchIndex`; ``"per-rule"`` is the
 #: parity-tested fallback running one vectorized match pass per rule.
 CLASSIFICATION_ENGINES = ("indexed", "per-rule")
+
+
+def _checked_engine(engine: str) -> str:
+    if engine not in CLASSIFICATION_ENGINES:
+        raise ValueError(
+            f"unknown classification engine {engine!r}; "
+            f"known: {', '.join(CLASSIFICATION_ENGINES)}"
+        )
+    return engine
 
 
 class FilterAction(Enum):
@@ -370,18 +379,21 @@ class PortQosPolicy:
     fresh index.
     """
 
+    #: Configuration changes (rule-set mutations and engine switches) over
+    #: every policy in the process.  A cached delivery plan that has seen
+    #: the current count knows that none of its ports changed without
+    #: reading them.
+    config_changes: ClassVar[int] = 0
+
     def __init__(
         self, port_capacity_bps: float, classification_engine: str = "indexed"
     ) -> None:
         if port_capacity_bps <= 0:
             raise ValueError("port capacity must be positive")
-        if classification_engine not in CLASSIFICATION_ENGINES:
-            raise ValueError(
-                f"unknown classification engine {classification_engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
         self._port_capacity_bps = port_capacity_bps
-        self.classification_engine = classification_engine
+        self._classification_engine = _checked_engine(classification_engine)
+        #: Bumped with :attr:`rules_version` and by every engine switch.
+        self._config_version = 0
         self._rules: list[QosRule] = []
         self._sorted_rules: list[QosRule] = []
         self._shapers: dict[str, RateLimiter] = {}
@@ -405,9 +417,26 @@ class PortQosPolicy:
     # ------------------------------------------------------------------
     # Rule management
     # ------------------------------------------------------------------
+    @property
+    def classification_engine(self) -> str:
+        """``"indexed"`` or ``"per-rule"``; a switch moves :attr:`config_version`."""
+        return self._classification_engine
+
+    @classification_engine.setter
+    def classification_engine(self, engine: str) -> None:
+        engine = _checked_engine(engine)
+        if engine != self._classification_engine:
+            self._classification_engine = engine
+            self._config_changed()
+
+    def _config_changed(self) -> None:
+        self._config_version += 1
+        PortQosPolicy.config_changes += 1
+
     def _bump(self) -> None:
         self._version += 1
         self._action_codes = None
+        self._config_changed()
 
     def _resort(self) -> None:
         # Stable sort: ties keep installation order, so the first match in
@@ -561,6 +590,17 @@ class PortQosPolicy:
         """
         return self._version
 
+    @property
+    def config_version(self) -> int:
+        """Counter bumped by every rule-set mutation and every engine switch.
+
+        The fabric's cached delivery plan keys off it: which engine
+        classifies a port decides whether the plan merges the port's
+        index.  An engine switch leaves :attr:`rules_version`, and so the
+        compiled index and the rule-update counts, alone.
+        """
+        return self._config_version
+
     def compiled_index(self) -> RuleMatchIndex:
         """The rule-match index for the current rule set (cached per version).
 
@@ -607,13 +647,8 @@ class PortQosPolicy:
         n = len(table)
         if not self._sorted_rules or n == 0:
             return np.full(n, -1, dtype=np.int32)
-        if self.classification_engine == "indexed":
+        if self._classification_engine == "indexed":
             return self.compiled_index().assign(table)
-        if self.classification_engine != "per-rule":
-            raise ValueError(
-                f"unknown classification engine {self.classification_engine!r}; "
-                f"known: {', '.join(CLASSIFICATION_ENGINES)}"
-            )
         # Per-rule fallback: one vectorized match pass per rule, first
         # (most specific) match claims the row.
         assigned = np.full(n, -1, dtype=np.int32)

@@ -40,13 +40,25 @@ bit-for-bit identical.
 Indexes are immutable snapshots compiled in one pass.
 :class:`~repro.ixp.qos.PortQosPolicy` caches one per rule-set version and
 compiles a fresh one whenever the version moves.
+
+An index can also span several **owners** (the member ports of a fabric):
+:meth:`RuleMatchIndex.merged` combines per-port indexes into one, and
+:meth:`RuleMatchIndex.assign` then takes each row's owner alongside the
+table, so a rule only ever claims rows of its own port.  An exact group
+keeps its distinct keys sorted (a key's position is its *key id*); a
+lookup finds each row's key id with one ``searchsorted`` and the *slot*
+``owner * distinct keys + key id`` with a second, so no key grows past
+64 bits.  Fallback rules run their masked pass on their owner's rows
+only.  A single port's
+index is the one-owner case of the same code (every row is owner 0).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, TypeAlias
 
 import numpy as np
 
@@ -66,6 +78,9 @@ EXACT_FIELD_WIDTHS: tuple[tuple[str, int], ...] = (
     ("src_port", 16),
     ("dst_port", 16),
 )
+
+#: :data:`EXACT_FIELD_WIDTHS` as a lookup table.
+_FIELD_WIDTH: dict[str, int] = dict(EXACT_FIELD_WIDTHS)
 
 #: Field kinds a signature distinguishes for the prefix criteria.
 _NONE, _HOST, _PREFIX = "none", "host", "prefix"
@@ -98,7 +113,7 @@ class MatchSignature:
                 return _HOST
             return _PREFIX
 
-        return cls(
+        signature = cls(
             dst=prefix_kind(match.dst_prefix),
             src=prefix_kind(match.src_prefix),
             mac=match.src_mac is not None,
@@ -106,9 +121,13 @@ class MatchSignature:
             src_port=match.src_port is not None,
             dst_port=match.dst_port is not None,
         )
+        # One shared instance per distinct signature, so the derived
+        # properties below are computed once per signature, not per rule.
+        return _SIGNATURES.setdefault(signature, signature)
 
     # ------------------------------------------------------------------
-    @property
+    # Derived on first use and stored on the signature, which of() shares.
+    @cached_property
     def exact_fields(self) -> tuple[str, ...]:
         """The packed key fields, in :data:`EXACT_FIELD_WIDTHS` order."""
         present = {
@@ -120,12 +139,11 @@ class MatchSignature:
         }
         return tuple(name for name, _ in EXACT_FIELD_WIDTHS if present[name])
 
-    @property
+    @cached_property
     def key_bits(self) -> int:
-        widths = dict(EXACT_FIELD_WIDTHS)
-        return sum(widths[name] for name in self.exact_fields)
+        return sum(_FIELD_WIDTH[name] for name in self.exact_fields)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         """True if every set criterion is an equality test fitting the key.
 
@@ -136,13 +154,16 @@ class MatchSignature:
         """
         if self.mac or self.dst == _PREFIX or self.src == _PREFIX:
             return False
-        fields = self.exact_fields
-        return bool(fields) and self.key_bits <= 64
+        return bool(self.exact_fields) and self.key_bits <= 64
+
+
+#: Every signature :meth:`MatchSignature.of` has built (at most a few
+#: dozen distinct values exist).
+_SIGNATURES: dict[MatchSignature, MatchSignature] = {}
 
 
 def _rule_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
     """Pack one rule's exact criteria into the group's integer key."""
-    widths = dict(EXACT_FIELD_WIDTHS)
     key = 0
     for name in fields:
         if name == "dst_ip":
@@ -153,27 +174,44 @@ def _rule_key(match: "FlowMatch", fields: tuple[str, ...]) -> int:
             value = int(match.protocol)
         else:
             value = int(getattr(match, name))
-        key = (key << widths[name]) | value
+        key = (key << _FIELD_WIDTH[name]) | value
     return key
 
 
 class ExactGroup:
-    """One exact signature group: packed keys sorted by (key, rank)."""
+    """One exact signature group: distinct packed keys plus owner slots.
 
-    __slots__ = ("fields", "keys", "ranks", "rule_count")
+    ``keys`` holds the group's distinct rule keys, sorted, so a key's
+    position is its dense *key id*.  Every rule is one entry in ``slots``
+    (``owner * len(keys) + key id``), sorted by slot, then rank, with its
+    rank in ``ranks`` and its packed key in ``entry_keys``.  Duplicate
+    keys of one owner keep every entry: the ``side="left"`` slot lookup
+    in :meth:`best_ranks` lands on the lowest rank (the most specific /
+    earliest-installed rule), matching what the sequential first-match
+    loop would claim.  Slots never collide across owners, so no rule
+    claims another owner's rows.
+    """
 
-    def __init__(self, fields: tuple[str, ...], entries: list[tuple[int, int]]) -> None:
+    __slots__ = ("fields", "keys", "slots", "ranks", "entry_keys")
+
+    def __init__(
+        self,
+        fields: tuple[str, ...],
+        keys: np.ndarray,
+        owners: np.ndarray,
+        ranks: np.ndarray,
+    ) -> None:
         self.fields = fields
-        self.rule_count = len(entries)
-        keys = np.fromiter((key for key, _ in entries), dtype=np.uint64, count=len(entries))
-        ranks = np.fromiter((rank for _, rank in entries), dtype=np.int32, count=len(entries))
-        # Sort by key, then rank.  Duplicate keys keep every entry: the
-        # side="left" lookup in best_ranks lands on the lowest rank (the
-        # most specific / earliest-installed rule), matching what the
-        # sequential first-match loop would claim.
-        order = np.lexsort((ranks, keys))
-        self.keys = keys[order]
+        self.keys, key_ids = np.unique(keys, return_inverse=True)
+        slots = owners * len(self.keys) + key_ids.reshape(-1)
+        order = np.lexsort((ranks, slots))
+        self.slots = slots[order]
         self.ranks = ranks[order]
+        self.entry_keys = keys[order]
+
+    @property
+    def rule_count(self) -> int:
+        return len(self.slots)
 
     def flow_keys(self, table: FlowTable) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Pack the group's key fields out of a flow table.
@@ -183,33 +221,46 @@ class ExactGroup:
         with an out-of-range value can never equal a validated rule key,
         so it must not alias into another key's lane.
         """
-        widths = dict(EXACT_FIELD_WIDTHS)
         keys = np.zeros(len(table), dtype=np.uint64)
         valid: Optional[np.ndarray] = None
         for name in self.fields:
             column = getattr(table, name)
-            width = np.uint64(widths[name])
-            lane = np.uint64((1 << widths[name]) - 1)
+            width = _FIELD_WIDTH[name]
+            lane = np.uint64((1 << width) - 1)
             if column.dtype.kind == "i":  # the L4 port columns are signed
                 in_range = (column >= 0) & (column <= int(lane))
                 if not bool(in_range.all()):
                     valid = in_range if valid is None else (valid & in_range)
-            keys = (keys << width) | (column.astype(np.uint64) & lane)
+            keys = (keys << np.uint64(width)) | (column.astype(np.uint64) & lane)
         return keys, valid
 
-    def best_ranks(self, table: FlowTable, sentinel: int) -> Optional[np.ndarray]:
-        """Per-row rank of the group's matching rule (``sentinel`` = none)."""
-        if not len(self.keys):
+    def best_ranks(
+        self, table: FlowTable, owners: Optional[np.ndarray], sentinel: int
+    ) -> Optional[np.ndarray]:
+        """Per-row rank of the group's matching rule (``sentinel`` = none).
+
+        ``owners`` gives each row's owner; ``None`` means every row is
+        owner 0, the single-port case.
+        """
+        if not len(self.slots):
             return None
         keys, valid = self.flow_keys(table)
-        positions = np.searchsorted(self.keys, keys)
-        positions = np.minimum(positions, len(self.keys) - 1)
-        hits = self.keys[positions] == keys
+        key_ids = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        hits = self.keys[key_ids] == keys
         if valid is not None:
             hits &= valid
         if not bool(hits.any()):
             return None
+        slots = key_ids if owners is None else owners * len(self.keys) + key_ids
+        positions = np.minimum(np.searchsorted(self.slots, slots), len(self.slots) - 1)
+        hits &= self.slots[positions] == slots
+        if not bool(hits.any()):
+            return None
         return np.where(hits, self.ranks[positions], np.int32(sentinel))
+
+
+#: Fallback rules of one owner and signature: ``(rank, rule)`` pairs.
+_FallbackEntries: TypeAlias = "list[tuple[int, QosRule]]"
 
 
 class RuleMatchIndex:
@@ -219,14 +270,14 @@ class RuleMatchIndex:
     evaluates them (:meth:`~repro.ixp.qos.PortQosPolicy.sorted_rules`);
     the index assigns each row the *rank* of its claiming rule in that
     order, so callers index back into the same list for actions, shaping
-    rates and rule ids.
+    rates and rule ids.  :meth:`merged` builds the multi-owner index of
+    several such lists.
     """
 
     def __init__(self, rules: "Sequence[QosRule]") -> None:
-        self._rules = list(rules)
         exact_entries: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-        fallback: dict[MatchSignature, list["tuple[int, QosRule]"]] = {}
-        for rank, rule in enumerate(self._rules):
+        fallback: dict[tuple[int, MatchSignature], _FallbackEntries] = {}
+        for rank, rule in enumerate(rules):
             signature = MatchSignature.of(rule.match)
             if signature.is_exact:
                 fields = signature.exact_fields
@@ -234,18 +285,82 @@ class RuleMatchIndex:
                     (_rule_key(rule.match, fields), rank)
                 )
             else:
-                fallback.setdefault(signature, []).append((rank, rule))
-        self._exact_groups = [
-            ExactGroup(fields, entries) for fields, entries in exact_entries.items()
-        ]
-        self._fallback_groups = list(fallback.items())
+                fallback.setdefault((0, signature), []).append((rank, rule))
+        groups = []
+        for fields, entries in exact_entries.items():
+            count = len(entries)
+            groups.append(
+                ExactGroup(
+                    fields,
+                    np.fromiter((key for key, _ in entries), dtype=np.uint64, count=count),
+                    np.zeros(count, dtype=np.int64),
+                    np.fromiter((rank for _, rank in entries), dtype=np.int32, count=count),
+                )
+            )
+        self._assemble(len(rules), len(rules), groups, fallback)
+
+    @classmethod
+    def merged(
+        cls, parts: "Iterable[tuple[int, int, RuleMatchIndex]]"
+    ) -> "RuleMatchIndex":
+        """One index over several single-owner indexes.
+
+        Each part is ``(owner, offset, index)``: the part's rules belong
+        to ``owner`` and its rank ``r`` becomes ``offset + r``, so the
+        parts' rank ranges must not overlap.  Built from the parts'
+        compiled entries, without re-packing any rule.
+        """
+        # Per field set: every part's entry keys, ranks, owner and offset.
+        exact: dict[tuple[str, ...], list[tuple[np.ndarray, np.ndarray, int, int]]] = {}
+        fallback: dict[tuple[int, MatchSignature], _FallbackEntries] = {}
+        rule_count = rank_bound = 0
+        for owner, offset, part in parts:
+            rule_count += part.rule_count
+            rank_bound = max(rank_bound, offset + part._rank_bound)
+            for group in part._exact_groups:
+                exact.setdefault(group.fields, []).append(
+                    (group.entry_keys, group.ranks, owner, offset)
+                )
+            for (_, signature), entries in part._fallback_groups.items():
+                fallback[(owner, signature)] = [
+                    (offset + rank, rule) for rank, rule in entries
+                ]
+        groups = []
+        for fields, members in exact.items():
+            keys, ranks, owners, offsets = zip(*members)
+            lengths = [len(member_keys) for member_keys in keys]
+            global_ranks = np.concatenate(ranks) + np.repeat(
+                np.array(offsets, dtype=np.int32), lengths
+            )
+            owner_column = np.repeat(np.array(owners, dtype=np.int64), lengths)
+            groups.append(ExactGroup(fields, np.concatenate(keys), owner_column, global_ranks))
+        index = cls.__new__(cls)
+        index._assemble(rule_count, rank_bound, groups, fallback)
+        return index
+
+    def _assemble(
+        self,
+        rule_count: int,
+        rank_bound: int,
+        exact_groups: list[ExactGroup],
+        fallback_groups: dict[tuple[int, MatchSignature], _FallbackEntries],
+    ) -> None:
+        self._rule_count = rule_count
+        #: One past the highest rank (the "no match" sentinel).
+        self._rank_bound = rank_bound
+        self._exact_groups = exact_groups
+        #: ``{(owner, signature): [(rank, rule), ...]}``.
+        self._fallback_groups = fallback_groups
+        self._fallback_by_owner: dict[int, _FallbackEntries] = {}
+        for (owner, _), entries in fallback_groups.items():
+            self._fallback_by_owner.setdefault(owner, []).extend(entries)
 
     # ------------------------------------------------------------------
     # Introspection (docs, tests, telemetry)
     # ------------------------------------------------------------------
     @property
     def rule_count(self) -> int:
-        return len(self._rules)
+        return self._rule_count
 
     @property
     def exact_rule_count(self) -> int:
@@ -253,7 +368,7 @@ class RuleMatchIndex:
 
     @property
     def fallback_rule_count(self) -> int:
-        return sum(len(entries) for _, entries in self._fallback_groups)
+        return sum(len(entries) for entries in self._fallback_groups.values())
 
     @property
     def exact_group_count(self) -> int:
@@ -281,31 +396,48 @@ class RuleMatchIndex:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def assign(self, table: FlowTable) -> np.ndarray:
+    def assign(self, table: FlowTable, owners: Optional[np.ndarray] = None) -> np.ndarray:
         """Rank of each row's claiming rule (``-1`` = no rule matches).
 
-        Equal to the sequential first-match loop over the sorted rules:
-        the winner is the matching rule with the minimum rank, which the
-        exact groups resolve via one sorted-key lookup each and the
-        fallback groups via per-rule masked passes, folded together with
-        a running elementwise minimum.
+        Equal to the sequential first-match loop over each owner's sorted
+        rules: the winner is the matching rule of the row's owner with the
+        minimum rank, which the exact groups resolve via sorted-key
+        lookups and the fallback groups via per-rule masked passes over
+        their owner's rows, folded together with a running elementwise
+        minimum.  ``owners`` (int64, one per row) is required for a
+        :meth:`merged` index; without it every row is owner 0.
         """
         n = len(table)
-        sentinel = len(self._rules)
-        best = np.full(n, np.int32(sentinel), dtype=np.int32)
+        sentinel = self._rank_bound
         if n == 0 or sentinel == 0:
             return np.full(n, -1, dtype=np.int32)
+        best = np.full(n, np.int32(sentinel), dtype=np.int32)
         for group in self._exact_groups:
-            ranks = group.best_ranks(table, sentinel)
+            ranks = group.best_ranks(table, owners, sentinel)
             if ranks is not None:
                 np.minimum(best, ranks, out=best)
-        for _, entries in self._fallback_groups:
-            for rank, rule in entries:
-                mask = rule.match.matches_table(table)
-                if bool(mask.any()):
-                    np.minimum(
-                        best, np.where(mask, np.int32(rank), np.int32(sentinel)), out=best
-                    )
-        assigned = best
-        assigned[assigned == sentinel] = -1
-        return assigned
+        if self._fallback_by_owner:
+            self._fallback_pass(table, owners, best)
+        best[best == sentinel] = -1
+        return best
+
+    def _fallback_pass(
+        self, table: FlowTable, owners: Optional[np.ndarray], best: np.ndarray
+    ) -> None:
+        """Fold every fallback rule's masked match over its owner's rows."""
+        spans: dict[int, np.ndarray] = {}
+        if owners is None:
+            spans[0] = np.arange(len(table))
+        else:
+            by_owner = np.argsort(owners, kind="stable")
+            sorted_owners = owners[by_owner]
+            for owner in self._fallback_by_owner:
+                low, high = np.searchsorted(sorted_owners, [owner, owner + 1])
+                if low < high:
+                    spans[owner] = by_owner[low:high]
+        for owner, rows in spans.items():
+            scope = table if owners is None else table.select(rows)
+            for rank, rule in self._fallback_by_owner[owner]:
+                hit = rows[rule.match.matches_table(scope)]
+                if len(hit):
+                    best[hit] = np.minimum(best[hit], np.int32(rank))

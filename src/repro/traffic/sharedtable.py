@@ -73,13 +73,18 @@ class SharedFlowTable:
     # Construction (producer side)
     # ------------------------------------------------------------------
     @classmethod
-    def from_table(cls, table: FlowTable, *, transfer: bool = False) -> "SharedFlowTable":
+    def from_table(
+        cls, table: FlowTable, *, transfer: bool = False, name: Optional[str] = None
+    ) -> "SharedFlowTable":
         """Copy ``table``'s columns into a fresh shared-memory block.
 
         ``transfer=True`` declares that ownership of the block passes to
         another process (the normal worker → parent direction): the
         producer's resource tracker forgets the block, so only the
-        consumer's eventual :meth:`unlink` destroys it.
+        consumer's eventual :meth:`unlink` destroys it.  ``name`` names
+        the block (a random name by default), which lets the consumer
+        destroy it with :func:`unlink_block` even if the producer dies
+        before the handle arrives.
         """
         if table.src_mac is not None:
             raise ValueError(
@@ -89,18 +94,18 @@ class SharedFlowTable:
         rows = len(table)
         layout: list[tuple[str, str, int]] = []
         offset = 0
-        for name in COLUMNS:
-            column = getattr(table, name)
+        for column_name in COLUMNS:
+            column = getattr(table, column_name)
             offset = _aligned(offset)
-            layout.append((name, column.dtype.str, offset))
+            layout.append((column_name, column.dtype.str, offset))
             offset += column.nbytes
         handle = cls(None, rows, tuple(layout), offset)
         if rows == 0:
             return handle
-        shm = shared_memory.SharedMemory(create=True, size=offset)
+        shm = shared_memory.SharedMemory(create=True, size=offset, name=name)
         try:
-            for name, dtype, start in handle.layout:
-                column = getattr(table, name)
+            for column_name, dtype, start in handle.layout:
+                column = getattr(table, column_name)
                 view = np.ndarray(rows, dtype=np.dtype(dtype), buffer=shm.buf, offset=start)
                 view[:] = column
             if transfer:
@@ -418,6 +423,19 @@ class SharedMemberTable:
             f"SharedMemberTable(name={self.shm_name!r}, rows={self.rows}, "
             f"base_asn={self.base_asn})"
         )
+
+
+def unlink_block(name: str) -> None:
+    """Destroy the shared-memory block ``name``; a missing block is skipped."""
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:

@@ -29,6 +29,7 @@ Three layers:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -197,6 +198,29 @@ def qos_rules(draw) -> QosRule:
 def rule_sets(min_size: int = 0, max_size: int = 16):
     """A rule batch; small id pool => replacements and precedence ties."""
     return st.lists(qos_rules(), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def owner_rule_sets(draw, min_owners: int = 2, max_owners: int = 4) -> list[list[QosRule]]:
+    """Rule lists for several ports of one fabric (one list per port).
+
+    A shared batch lands on some of the ports, so the same rule keys sit
+    on several ports; and a port may carry a twin of one of its rules (the
+    same match under a new id), a duplicate key within one port where the
+    lower rank must win.  Every list may be empty.
+    """
+    owners = draw(st.integers(min_value=min_owners, max_value=max_owners))
+    shared = draw(rule_sets(min_size=1, max_size=6))
+    lists = []
+    for owner in range(owners):
+        rules = draw(rule_sets(max_size=8))
+        if draw(st.booleans()):
+            rules = rules + shared
+        if rules and draw(st.booleans()):
+            twin = draw(st.sampled_from(rules))
+            rules.append(replace(twin, rule_id=f"twin-{owner}"))
+        lists.append(rules)
+    return lists
 
 
 # ----------------------------------------------------------------------

@@ -4,15 +4,29 @@ The first parity contract — ``classification_engine="indexed"`` must be
 *verdict-for-verdict* equal to ``"per-rule"`` in
 :meth:`PortQosPolicy.assign_table` — plus the conservation and accounting
 invariants of a full ``apply`` pass, for arbitrary generated rule sets and
-intervals (not just the scripted scenarios).
+intervals (not just the scripted scenarios).  The batched delivery plan's
+one-pass lookup over every filtered port must equal each port's own
+``assign_table`` on that port's rows.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzz.strategies import build_flow_table, flow_tables, rule_sets
-from repro.ixp import PortQosPolicy
+from fuzz.strategies import (
+    MEMBER_BASE_ASN,
+    build_flow_table,
+    flow_tables,
+    owner_rule_sets,
+    rule_sets,
+)
+from repro.ixp import (
+    EdgeRouter,
+    IxpMember,
+    PortQosPolicy,
+    SwitchingFabric,
+    l_ixp_edge_router_profile,
+)
 
 PORT_CAPACITY = 10e9
 INTERVAL = 10.0
@@ -49,6 +63,69 @@ class TestAssignParity:
                 )
             else:
                 assert expected is sorted_rules[ranks[row]]
+
+
+class TestPlatformLookupParity:
+    """One merged-index lookup per interval == per-port ``assign_table``."""
+
+    @given(
+        owner_rules=owner_rule_sets(),
+        engines=st.lists(st.sampled_from(["indexed", "per-rule"]), min_size=4, max_size=4),
+        rowless=st.integers(min_value=0, max_value=4),
+        n=st.integers(min_value=1, max_value=120),  # execute() returns early on 0
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_plan_lookup_equals_per_port_assign(
+        self, owner_rules, engines, rowless, n, seed
+    ):
+        """Same rules on several ports, twins, fallbacks, both engines.
+
+        One extra member carries no rules, and port ``rowless`` (if it
+        exists) gets no rows.
+        """
+        fabric = SwitchingFabric(name="parity-ixp")
+        fabric.add_edge_router(EdgeRouter("edge-1", profile=l_ixp_edge_router_profile()))
+        asns = [MEMBER_BASE_ASN + index for index in range(len(owner_rules) + 1)]
+        for asn in asns:
+            fabric.connect_member(IxpMember(asn=asn, port_capacity_bps=10e9))
+        for asn, rules, engine in zip(asns, owner_rules, engines):
+            qos = fabric.port_for_member(asn).qos
+            qos.install_many(rules)
+            qos.classification_engine = engine
+        plan = fabric.current_delivery_plan()
+        table = build_flow_table(
+            seed=seed, n=n, egress_pool=[asn for i, asn in enumerate(asns) if i != rowless]
+        )
+
+        sliced = []
+        for asn in asns:
+            qos = fabric.port_for_member(asn).qos
+            qos.assign_table = lambda rows, asn=asn, own=qos.assign_table: (
+                sliced.append(asn) or own(rows)
+            )
+
+        order, member_asns, positions, starts, counts = plan._group_by_member(table)
+        filtered = np.flatnonzero(plan._has_rules[positions])
+        assigned, _ = plan._classify(
+            table, table.bits, order, positions, starts, counts, filtered
+        )
+        # Only the ports on the per-rule engine keep their own pass over
+        # their slice.
+        merged = {
+            asn
+            for asn, rules, engine in zip(asns, owner_rules, engines)
+            if rules and engine == "indexed"
+        }
+        with_rules = member_asns[plan._has_rules[positions]].tolist()
+        assert sorted(sliced) == [asn for asn in with_rules if asn not in merged]
+        for group, asn in enumerate(member_asns.tolist()):
+            rows = order[starts[group] : starts[group] + counts[group]]
+            # The oracle: the port's rules, one masked pass per rule.
+            oracle = make_policy("per-rule", [])
+            oracle.install_many(fabric.port_for_member(asn).qos.sorted_rules())
+            ranks = oracle.assign_table(table.select(rows))
+            start = plan._member_start.get(asn, 0)
+            assert np.array_equal(assigned[rows], np.where(ranks >= 0, start + ranks, -1)), asn
 
 
 class TestApplyInvariants:

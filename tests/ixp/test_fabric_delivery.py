@@ -21,9 +21,11 @@ from repro.ixp import (
     FilterAction,
     FlowMatch,
     IxpMember,
+    PortQosPolicy,
     PortQosResult,
     QosRule,
     SwitchingFabric,
+    delivery,
     small_ixp_edge_router_profile,
 )
 from repro.traffic import (
@@ -321,6 +323,69 @@ class TestDeliveryPlan:
         with pytest.raises(AttributeError):
             port.qos.port_capacity_bps = 1.0
 
+    def test_steady_intervals_do_not_scan_the_ports(self, monkeypatch):
+        fabric = build_fabric()
+        table = interval_table()
+        fabric.deliver(table, 10.0)
+        ports = fabric.current_delivery_plan().port_count
+        reads = []
+
+        def counting_version(port):
+            reads.append(port)
+            return port.qos.config_version
+
+        monkeypatch.setattr(delivery, "_CONFIG_VERSION", counting_version)
+        for step in range(1, 4):
+            fabric.deliver(table, 10.0, 10.0 * step)
+        assert reads == []
+        # A change to a policy outside the fabric costs one scan, and the
+        # plan stays current.
+        plan = fabric.current_delivery_plan()
+        PortQosPolicy(port_capacity_bps=1e9).install(
+            QosRule(match=FlowMatch(src_port=7), action=FilterAction.DROP)
+        )
+        fabric.deliver(table, 10.0, 40.0)
+        assert len(reads) == ports
+        assert fabric.current_delivery_plan() is plan
+        # A change on the fabric: one scan finds it, the patched plan
+        # snapshots every port once, and execute() does not scan again.
+        reads.clear()
+        fabric.router_for_member(65002).install_rule(
+            65002, QosRule(match=FlowMatch(src_port=19), action=FilterAction.DROP)
+        )
+        fabric.deliver(table, 10.0, 50.0)
+        assert len(reads) == 2 * ports
+        assert fabric.current_delivery_plan() is not plan
+        # A direct caller of a stale plan is still refused.
+        plan = fabric.current_delivery_plan()
+        fabric.router_for_member(65002).install_rule(
+            65002, QosRule(match=FlowMatch(src_port=17), action=FilterAction.DROP)
+        )
+        with pytest.raises(RuntimeError, match="stale"):
+            plan.execute(table, 10.0)
+
+    @pytest.mark.parametrize("via_fabric", [True, False])
+    def test_engine_switch_recompiles_the_plan(self, via_fabric):
+        fabric = build_fabric()
+        table = interval_table()
+        before = fabric.deliver(table, 10.0).to_dict()
+        plan = fabric.current_delivery_plan()
+        assert plan._port_indexes.keys() == {VICTIM_ASN, 65001}
+        if via_fabric:
+            fabric.set_classification_engine("per-rule")
+        else:
+            fabric.port_for_member(VICTIM_ASN).qos.classification_engine = "per-rule"
+        assert not plan.is_current()
+        switched = fabric.current_delivery_plan()
+        assert switched._port_indexes.keys() == (set() if via_fabric else {65001})
+        after = fabric.deliver(table, 10.0, 10.0).to_dict()
+        before.pop("interval_start"), after.pop("interval_start")
+        assert after == before
+        # Setting the engine a port already runs changes nothing.
+        qos = fabric.port_for_member(65001).qos
+        qos.classification_engine = qos.classification_engine
+        assert switched.is_current()
+
     def test_passthrough_results_defer_tables(self):
         fabric = build_fabric()
         table = interval_table()
@@ -358,6 +423,70 @@ class TestColumnarReport:
         assert len(built) == 2
         assert report.results_by_member[65002].forwarded_bits > 0
         assert len(built) == 3
+
+    def test_filtered_member_without_claimed_rows_builds_no_result(self, monkeypatch):
+        # 65003 carries a rule that no row of the interval matches: it is
+        # accounted from the columns like a member without rules, and its
+        # result is built on lookup, equal to the per-member engine's.
+        quiet_rule = QosRule(
+            match=FlowMatch(src_port=7), action=FilterAction.DROP, rule_id="drop-echo"
+        )
+        fabrics = {}
+        for name, engine, history in (
+            ("counted", "batched", False),
+            ("batched", "batched", True),
+            ("fallback", "per-member", True),
+        ):
+            fabric = build_fabric(engine=engine)
+            fabric.router_for_member(65003).install_rule(65003, quiet_rule)
+            for router in fabric.edge_routers():
+                for port in router.ports():
+                    port.retain_history = history
+            fabrics[name] = fabric
+        built = []
+        build = PortQosResult.__init__
+
+        def counting_build(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        table = interval_table()
+        monkeypatch.setattr(PortQosResult, "__init__", counting_build)
+        report = fabrics["counted"].deliver(table, 10.0)
+        # The victim's and 65001's rows are claimed; 65003's are not.
+        assert len(built) == 2
+        assert 65003 not in report.rule_stats
+        looked_up = report.results_by_member[65003]
+        assert len(built) == 3
+        monkeypatch.undo()
+
+        batched = fabrics["batched"].deliver(table, 10.0)
+        fallback = fabrics["fallback"].deliver(table, 10.0)
+        expected = fallback.results_by_member[65003]
+        assert expected.rule_stats == {} and expected.forwarded_bits > 0
+        ports = {name: fabric.port_for_member(65003) for name, fabric in fabrics.items()}
+        history = {name: port.history[-1][1] for name, port in ports.items() if port.history}
+        for result in (looked_up, batched.results_by_member[65003], history["batched"]):
+            for name in (
+                "forwarded_bits",
+                "dropped_bits",
+                "shaped_passed_bits",
+                "shaped_dropped_bits",
+                "congestion_dropped_bits",
+                "rule_stats",
+            ):
+                assert getattr(result, name) == getattr(expected, name), name
+            for name in ("forwarded_table", "dropped_table", "shaped_table"):
+                assert table_multiset(getattr(result, name)) == table_multiset(
+                    getattr(expected, name)
+                ), name
+            assert ports["batched"].utilisation(result, 10.0) == ports[
+                "fallback"
+            ].utilisation(expected, 10.0)
+        assert history["fallback"] is expected
+        assert vars(ports["counted"].counters) == vars(ports["fallback"].counters)
+        row = int(np.searchsorted(batched.member_asns, 65003))
+        assert batched.port_utilisation()[row] == ports["fallback"].utilisation(expected, 10.0)
 
     @pytest.mark.parametrize("engine", ["batched", "per-member"])
     def test_results_by_member_is_read_only(self, engine):

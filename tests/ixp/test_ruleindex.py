@@ -170,6 +170,23 @@ class TestMatchSignature:
         signature = MatchSignature.of(match)
         assert signature.key_bits > 64 and not signature.is_exact
 
+    def test_metadata_is_derived_once_per_signature(self):
+        first = MatchSignature.of(
+            FlowMatch(
+                dst_prefix=Prefix.parse("10.1.0.1/32"), protocol=IpProtocol.UDP, src_port=123
+            )
+        )
+        assert first.is_exact
+        second = MatchSignature.of(
+            FlowMatch(
+                dst_prefix=Prefix.parse("10.1.0.2/32"), protocol=IpProtocol.TCP, src_port=53
+            )
+        )
+        # Rules of one shape share one signature, whose derived fields
+        # were computed on first use and are stored on it.
+        assert second is first
+        assert {"exact_fields", "key_bits", "is_exact"} <= set(vars(second))
+
     def test_index_partitions_rules(self):
         index = RuleMatchIndex(make_policy("indexed").sorted_rules())
         stats = index.describe()
